@@ -33,14 +33,13 @@ from .core import (
     EPSILON,
     FiniteAutomaton,
     Transition,
+    _trim,
     has_epsilon_cycle,
     is_trim,
     is_valid_path,
     path_label,
     path_source,
     path_target,
-    trim,
-    useful_states,
 )
 from .errors import (
     EpsilonCycleInput,
@@ -48,8 +47,8 @@ from .errors import (
     InternalInvariantViolation,
     NotTrim,
 )
-from .graphs import reachable, strongly_connected_components
-from .product import ProductAutomaton, cube, square
+from .graphs import dfs_postorder, reachable, strongly_connected_components
+from .product import ProductAutomaton, _cube, cube, square
 
 
 class AmbiguityClass(Enum):
@@ -137,18 +136,16 @@ def _require_analyzable(a: FiniteAutomaton) -> None:
         raise NotTrim("analysis requires a trim automaton")
 
 
-def _out_arcs(fa: FiniteAutomaton) -> list[list[tuple[int, int]]]:
-    arcs: list[list[tuple[int, int]]] = [[] for _ in fa.states]
-    for i, t in enumerate(fa.transitions):
-        arcs[t.src].append((t.dst, i))
-    return arcs
-
-
-def _successors(fa: FiniteAutomaton) -> list[list[int]]:
-    succ: list[list[int]] = [[] for _ in fa.states]
-    for t in fa.transitions:
-        succ[t.src].append(t.dst)
-    return succ
+def _adjacency(fa: FiniteAutomaton, indexed: bool = False) -> list[list]:
+    """Per-state successors; (successor, transition index) pairs if indexed."""
+    adj: list[list] = [[] for _ in fa.states]
+    if indexed:
+        for i, t in enumerate(fa.transitions):
+            adj[t.src].append((t.dst, i))
+    else:  # the SCC passes over products; keep this loop bare
+        for t in fa.transitions:
+            adj[t.src].append(t.dst)
+    return adj
 
 
 def _epsilon_core(
@@ -176,7 +173,8 @@ def _epsilon_core(
     When a is already ε-free it is returned unchanged with lifts and order
     None.  Otherwise lifts[i] expands core transition i into the
     a-transition indices (ε-run, then symbol) it stands for, and order[s]
-    names the a-state behind core state s.
+    names the a-state behind core state s; order is None when the core
+    keeps every state.
     """
     eps_arcs: list[list[tuple[int, int]]] = [[] for _ in a.states]
     sym_arcs: list[list[int]] = [[] for _ in a.states]
@@ -187,27 +185,15 @@ def _epsilon_core(
             sym_arcs[t.src].append(i)
     if not any(eps_arcs):
         return a, None, None, False
+    eps_succ = [[dst for dst, _ in arcs] for arcs in eps_arcs]
 
     combo: dict[tuple[int, str, int], tuple[int, ...]] = {}
     weight: dict[tuple[int, str, int], int] = {}
     finals: set[int] = set()
     for q in a.states:
-        # Depth-first postorder of the ε-run DAG rooted at q, reversed, so
+        # Reversed depth-first postorder of the ε-run DAG rooted at q, so
         # every state is relaxed after all its ε-predecessors in the run.
-        post: list[int] = []
-        seen = {q}
-        stack: list[tuple[int, int]] = [(q, 0)]
-        while stack:
-            node, at = stack[-1]
-            if at < len(eps_arcs[node]):
-                stack[-1] = (node, at + 1)
-                nxt = eps_arcs[node][at][0]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, 0))
-            else:
-                post.append(node)
-                stack.pop()
+        post, _ = dfs_postorder((q,), eps_succ)
         run: dict[int, tuple[int, ...]] = {q: ()}
         count: dict[int, int] = {q: 1}
         for r in reversed(post):
@@ -237,26 +223,15 @@ def _epsilon_core(
     )
     cycle_multiplicity = False
     if any(weight[key] >= 2 for key in keys):
-        comp, _ = strongly_connected_components(full.num_states, _successors(full))
+        comp, _ = strongly_connected_components(full.num_states, _adjacency(full))
         cycle_multiplicity = any(
             weight[key] >= 2 and comp[key[0]] == comp[key[2]] for key in keys
         )
     # The cube machinery needs a trim automaton; states that a reaches only
     # through ε-runs have no core transition into them and must go.
-    keep = useful_states(full)
-    order = sorted(keep)
-    back = {old: new for new, old in enumerate(order)}
-    kept = [key for key in keys if key[0] in keep and key[2] in keep]
-    core = FiniteAutomaton(
-        alphabet=a.alphabet,
-        num_states=len(order),
-        initial=frozenset(back[s] for s in a.initial if s in keep),
-        final=frozenset(back[s] for s in finals if s in keep),
-        transitions=tuple(
-            Transition(back[src], label, back[dst]) for src, label, dst in kept
-        ),
-    )
-    lifts = tuple(combo[key] for key in kept)
+    core, maps = _trim(full)
+    order, tmap = maps if maps is not None else (None, range(len(keys)))
+    lifts = tuple(combo[keys[i]] for i in tmap)
     return core, lifts, order, cycle_multiplicity
 
 
@@ -284,7 +259,7 @@ def _find_eda_scc(sq: ProductAutomaton):
     Returns (comp array, diagonal state, off-diagonal state) or None.
     """
     fa = sq.underlying
-    comp, count = strongly_connected_components(fa.num_states, _successors(fa))
+    comp, count = strongly_connected_components(fa.num_states, _adjacency(fa))
     diag = [-1] * count
     off = [-1] * count
     for s in range(fa.num_states):
@@ -305,11 +280,14 @@ def eda_witness(a: FiniteAutomaton) -> EDAWitness | None:
     _require_analyzable(a)
     sq = square(a)
     found = _find_eda_scc(sq)
-    if found is None:
-        return None
+    return None if found is None else _eda_cycles(a, sq, found)
+
+
+def _eda_cycles(a: FiniteAutomaton, sq: ProductAutomaton, found) -> EDAWitness:
+    """The cycle pair behind the SCC that _find_eda_scc(sq) found in a's square."""
     comp, diag_state, off_state = found
     fa = sq.underlying
-    arcs = _out_arcs(fa)
+    arcs = _adjacency(fa, indexed=True)
     allowed = {s for s in range(fa.num_states) if comp[s] == comp[diag_state]}
     there = _bfs_transitions(arcs, diag_state, off_state, allowed)
     back = _bfs_transitions(arcs, off_state, diag_state, allowed)
@@ -360,15 +338,15 @@ def _bfs_transitions(arcs, start: int, goal: int, allowed: set[int] | None = Non
     return None
 
 
-def _ida_sites(a: FiniteAutomaton) -> set[tuple[int, int]]:
+def _ida_sites(cb: ProductAutomaton) -> set[tuple[int, int]]:
     """IDA pairs of a trim, ε-cycle-free automaton, by the marked-cube criterion.
 
-    The cube is extended with marker edges from every (p, q, q)-projecting
-    state to every (p, p, q)-projecting state (p != q).  A pair (p, q) is a
-    site iff one of its marker edges lies inside a strongly connected
-    component that also contains a symbol-labeled cube transition.
+    cb is the automaton's cube.  It is extended with marker edges from every
+    (p, q, q)-projecting state to every (p, p, q)-projecting state (p != q).
+    A pair (p, q) is a site iff one of its marker edges lies inside a
+    strongly connected component that also contains a symbol-labeled cube
+    transition.
     """
-    cb = cube(a)
     fa = cb.underlying
     sources: dict[tuple[int, int], list[int]] = defaultdict(list)
     targets: dict[tuple[int, int], list[int]] = defaultdict(list)
@@ -378,7 +356,7 @@ def _ida_sites(a: FiniteAutomaton) -> set[tuple[int, int]]:
             sources[(x, y)].append(s)
         elif x == y and y != z:
             targets[(x, z)].append(s)
-    full = _successors(fa)
+    full = _adjacency(fa)
     markers: list[tuple[int, int, tuple[int, int]]] = []
     for pair, srcs in sources.items():
         tgts = targets.get(pair)
@@ -404,7 +382,7 @@ def test_ida(a: FiniteAutomaton) -> bool:
     """True iff path counts grow without bound (polynomially or worse)."""
     _require_analyzable(a)
     core, _, _, cycle_multiplicity = _epsilon_core(a)
-    return cycle_multiplicity or bool(_ida_sites(core))
+    return cycle_multiplicity or bool(_ida_sites(cube(core)))
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
@@ -417,37 +395,30 @@ def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
     """
     _require_analyzable(a)
     core, _, order, _ = _epsilon_core(a)
-    sites = _ida_sites(core)
+    sites = _ida_sites(cube(core))
     if order is None:
         return frozenset(sites)
     return frozenset((order[p], order[q]) for p, q in sites)
 
 
-def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
-    """Search the core's cube for the three same-labeled paths backing a site.
-
-    Returns None when no symbol-consuming cube path connects a
-    (p, p, q)-projecting state to a (p, q, q)-projecting one, i.e. when the
-    pair pumps nothing.
-    """
-    _require_analyzable(a)
-    if p == q or not (0 <= p < a.num_states and 0 <= q < a.num_states):
-        return None
-    core, lifts, order, _ = _epsilon_core(a)
+def _inverse(order: list[int] | None, n: int) -> dict[int, int]:
+    """Original id -> compacted id; the identity on range(n) when order is None."""
     if order is None:
-        cp, cq = p, q
-    else:
-        back = {old: new for new, old in enumerate(order)}
-        if p not in back or q not in back:
-            return None
-        cp, cq = back[p], back[q]
-    cb = cube(core)
+        return {s: s for s in range(n)}
+    return {old: new for new, old in enumerate(order)}
+
+
+def _site_path(cb: ProductAutomaton, arcs, p: int, q: int) -> list[int] | None:
+    """Shortest symbol-consuming cube path backing site (p, q), or None.
+
+    The path runs from a (p, p, q)-projecting to a (p, q, q)-projecting
+    state of cb; arcs is cb's indexed adjacency.
+    """
     fa = cb.underlying
-    starts = [s for s, c in enumerate(cb.components) if c == (cp, cp, cq)]
-    goals = {s for s, c in enumerate(cb.components) if c == (cp, cq, cq)}
+    starts = [s for s, c in enumerate(cb.components) if c == (p, p, q)]
+    goals = {s for s, c in enumerate(cb.components) if c == (p, q, q)}
     if not starts or not goals:
         return None
-    arcs = _out_arcs(fa)
     parents: dict[tuple[int, bool], tuple[tuple[int, bool], int]] = {}
     queue = deque((s, False) for s in starts)
     seen = set(queue)
@@ -472,6 +443,28 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
         key, idx = parents[key]
         steps.append(idx)
     steps.reverse()
+    return steps
+
+
+def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
+    """Search the core's cube for the three same-labeled paths backing a site.
+
+    Returns None when no symbol-consuming cube path connects a
+    (p, p, q)-projecting state to a (p, q, q)-projecting one, i.e. when the
+    pair pumps nothing.
+    """
+    _require_analyzable(a)
+    if p == q or not (0 <= p < a.num_states and 0 <= q < a.num_states):
+        return None
+    core, lifts, order, _ = _epsilon_core(a)
+    back = _inverse(order, core.num_states)
+    if p not in back or q not in back:
+        return None
+    cb = cube(core)
+    steps = _site_path(cb, _adjacency(cb.underlying, indexed=True), back[p], back[q])
+    if steps is None:
+        return None
+
     def project(coord: int) -> tuple[int, ...]:
         core_path = tuple(
             cb.derivations[i][coord]
@@ -493,12 +486,13 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     return witness
 
 
-def _dpa_impl(a: FiniteAutomaton, want_witness: bool) -> tuple[int, DPAWitness | None]:
-    """Longest chain of sites along one condensation path (no EDA allowed)."""
-    pairs = _ida_sites(a)
+def _dpa_impl(
+    a: FiniteAutomaton, pairs: set[tuple[int, int]], want_witness: bool
+) -> tuple[int, DPAWitness | None]:
+    """Longest chain of the sites `pairs` along one condensation path (no EDA allowed)."""
     if not pairs:
         return 0, None
-    comp, count = strongly_connected_components(a.num_states, _successors(a))
+    comp, count = strongly_connected_components(a.num_states, _adjacency(a))
     out: list[list[tuple[int, int, tuple[int, int] | None]]] = [[] for _ in range(count)]
     plain: set[tuple[int, int]] = set()
     for tr in a.transitions:
@@ -535,56 +529,63 @@ def _dpa_impl(a: FiniteAutomaton, want_witness: bool) -> tuple[int, DPAWitness |
     return degree, DPAWitness(pairs=tuple(chain))
 
 
-def _core_after_eda_check(
-    a: FiniteAutomaton,
-) -> tuple[FiniteAutomaton, list[int] | None]:
-    """ε-free core of an automaton already known not to grow exponentially."""
-    core, _, order, cycle_multiplicity = _epsilon_core(a)
-    if cycle_multiplicity:
-        raise InternalInvariantViolation(
-            "folded run multiplicity without detected exponential growth"
-        )
-    return core, order
-
-
 def _order_dpa_pairs(w: DPAWitness | None, order: list[int] | None):
     if w is None or order is None:
         return w
     return DPAWitness(pairs=tuple((order[p], order[q]) for p, q in w.pairs))
 
 
+def _growth(
+    t: FiniteAutomaton, want_cycles: bool, want_chain: bool
+) -> tuple[int | None, Witness | None]:
+    """Growth of a trim, ε-cycle-free automaton from one square and one cube.
+
+    Returns (None, EDA witness if want_cycles) when growth is exponential,
+    else (degree, DPA witness if want_chain).  When t is its own ε-free
+    core, t's square is the cube's left factor; each product is dropped
+    after its last use.
+    """
+    sq = square(t)
+    found = _find_eda_scc(sq)
+    if found is not None:
+        return None, _eda_cycles(t, sq, found) if want_cycles else None
+    core, _, order, cycle_multiplicity = _epsilon_core(t)
+    if cycle_multiplicity:
+        raise InternalInvariantViolation(
+            "folded run multiplicity without detected exponential growth"
+        )
+    if core is t:
+        cb = _cube(t, sq)
+        del sq
+    else:
+        del sq
+        cb = cube(core)
+    sites = _ida_sites(cb)
+    del cb
+    degree, witness = _dpa_impl(core, sites, want_chain)
+    return degree, _order_dpa_pairs(witness, order)
+
+
 def dpa(a: FiniteAutomaton) -> int:
     """Degree of polynomial growth: 0 = bounded, d >= 1 = Θ(n^d) path counts."""
     _require_analyzable(a)
-    if _find_eda_scc(square(a)) is not None:
+    degree, _ = _growth(a, False, False)
+    if degree is None:
         raise ExponentiallyAmbiguousInput("growth is exponential; no polynomial degree")
-    core, _ = _core_after_eda_check(a)
-    return _dpa_impl(core, False)[0]
+    return degree
 
 
 def dpa_with_witness(a: FiniteAutomaton) -> tuple[int, DPAWitness | None]:
     """Like dpa(), also returning the chain of sites realizing the degree."""
     _require_analyzable(a)
-    if _find_eda_scc(square(a)) is not None:
+    degree, witness = _growth(a, False, True)
+    if degree is None:
         raise ExponentiallyAmbiguousInput("growth is exponential; no polynomial degree")
-    core, order = _core_after_eda_check(a)
-    degree, witness = _dpa_impl(core, True)
-    return degree, _order_dpa_pairs(witness, order)
-
-
-def _trim_maps(a: FiniteAutomaton, t: FiniteAutomaton):
-    """State and transition maps from t's ids back to a's, or None if t is a."""
-    if t is a:
-        return None
-    keep = useful_states(a)
-    order = sorted(keep)
-    tmap = [
-        i for i, tr in enumerate(a.transitions) if tr.src in keep and tr.dst in keep
-    ]
-    return order, tmap
+    return degree, witness
 
 
 def _remap_witness(w: Witness | None, maps) -> Witness | None:
+    """Carry a classify() witness (EDA or DPA) from the trimmed ids back to a's."""
     if w is None or maps is None:
         return w
     order, tmap = maps
@@ -594,15 +595,6 @@ def _remap_witness(w: Witness | None, maps) -> Witness | None:
             label=w.label,
             cycle_a=tuple(tmap[i] for i in w.cycle_a),
             cycle_b=tuple(tmap[i] for i in w.cycle_b),
-        )
-    if isinstance(w, IDAWitness):
-        return IDAWitness(
-            p=order[w.p],
-            q=order[w.q],
-            label=w.label,
-            path_pp=tuple(tmap[i] for i in w.path_pp),
-            path_pq=tuple(tmap[i] for i in w.path_pq),
-            path_qq=tuple(tmap[i] for i in w.path_qq),
         )
     return DPAWitness(pairs=tuple((order[p], order[q]) for p, q in w.pairs))
 
@@ -615,21 +607,16 @@ def classify(a: FiniteAutomaton, want_witness: bool = False) -> AmbiguityReport:
     """
     if has_epsilon_cycle(a):
         raise EpsilonCycleInput("classification requires an ε-cycle-free automaton")
-    t = trim(a)
+    t, maps = _trim(a)
     if t.num_states == 0 or t.num_transitions == 0:
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
-    maps = _trim_maps(a, t)
-    if _find_eda_scc(square(t)) is not None:
-        witness = _remap_witness(eda_witness(t) if want_witness else None, maps)
+    degree, witness = _growth(t, want_witness, want_witness)
+    witness = _remap_witness(witness, maps)
+    if degree is None:
         return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, witness)
-    core, order = _core_after_eda_check(t)
-    degree, dwit = _dpa_impl(core, want_witness)
-    dwit = _order_dpa_pairs(dwit, order)
     if degree == 0:
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
-    return AmbiguityReport(
-        AmbiguityClass.POLYNOMIAL, degree, _remap_witness(dwit, maps)
-    )
+    return AmbiguityReport(AmbiguityClass.POLYNOMIAL, degree, witness)
 
 
 def verify_eda_witness(a: FiniteAutomaton, w: EDAWitness) -> bool:
@@ -668,25 +655,32 @@ def verify_ida_witness(a: FiniteAutomaton, w: IDAWitness) -> bool:
 def verify_dpa_witness(
     a: FiniteAutomaton, w: DPAWitness, degree: int | None = None
 ) -> bool:
-    """Re-derive every site of the chain and check the links between them."""
+    """Re-derive every site of the chain and check the links between them.
+
+    All sites are searched on one cube of the trimmed automaton's ε-free core.
+    """
     if not w.pairs or (degree is not None and len(w.pairs) != degree):
         return False
-    t = trim(a)
+    t, maps = _trim(a)
     if t.num_states == 0:
         return False
-    maps = _trim_maps(a, t)
-    if maps is None:
-        back = {s: s for s in t.states}
-    else:
-        back = {old: new for new, old in enumerate(maps[0])}
+    if has_epsilon_cycle(t):
+        raise EpsilonCycleInput("analysis requires an ε-cycle-free automaton")
+    to_t = _inverse(maps[0] if maps else None, t.num_states)
+    if any(p not in to_t or q not in to_t for p, q in w.pairs):
+        return False
+    core, _, order, _ = _epsilon_core(t)
+    to_core = _inverse(order, core.num_states)
+    cb = cube(core)
+    arcs = _adjacency(cb.underlying, indexed=True)
     for p, q in w.pairs:
-        if p not in back or q not in back:
+        cp, cq = to_core.get(to_t[p]), to_core.get(to_t[q])
+        if p == q or cp is None or cq is None or _site_path(cb, arcs, cp, cq) is None:
             return False
-        if ida_witness(t, back[p], back[q]) is None:
-            return False
-    succ = _successors(t)
+    del cb, arcs
+    succ = _adjacency(t)
     for (_, q1), (p2, _) in zip(w.pairs, w.pairs[1:]):
-        if back[p2] not in reachable([back[q1]], succ):
+        if to_t[p2] not in reachable([to_t[q1]], succ):
             return False
     return True
 

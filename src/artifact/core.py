@@ -15,6 +15,7 @@ from .errors import (
     ReservedLabelInAlphabet,
     SymbolNotInAlphabet,
 )
+from .graphs import dfs_postorder, reachable
 
 #: Label of transitions that consume no input.
 EPSILON = ""
@@ -112,18 +113,7 @@ def useful_states(a: FiniteAutomaton) -> set[int]:
     for t in a.transitions:
         forward[t.src].append(t.dst)
         backward[t.dst].append(t.src)
-
-    def explore(starts, adj):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    return explore(a.initial, forward) & explore(a.final, backward)
+    return reachable(a.initial, forward) & reachable(a.final, backward)
 
 
 def is_trim(a: FiniteAutomaton) -> bool:
@@ -136,62 +126,46 @@ def trim(a: FiniteAutomaton) -> FiniteAutomaton:
     The accepted language and the number of accepting paths per string are
     unchanged: discarded states cannot occur on a successful path.
     """
+    return _trim(a)[0]
+
+
+def _trim(
+    a: FiniteAutomaton,
+) -> tuple[FiniteAutomaton, tuple[list[int], list[int]] | None]:
+    """trim(a) with the maps from its ids back to a's.
+
+    The maps are (order, tmap): order[s] is the a-state behind state s and
+    tmap[i] the a-transition behind transition i.  They are None, and a
+    itself is returned, when every state is useful.
+    """
     keep = useful_states(a)
     if len(keep) == a.num_states:
-        return a
+        return a, None
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}
-    return FiniteAutomaton(
+    tmap: list[int] = []
+    edges: list[Transition] = []
+    for i, t in enumerate(a.transitions):
+        if t.src in keep and t.dst in keep:
+            tmap.append(i)
+            edges.append(Transition(remap[t.src], t.label, remap[t.dst]))
+    trimmed = FiniteAutomaton(
         alphabet=a.alphabet,
         num_states=len(order),
         initial=frozenset(remap[q] for q in a.initial if q in keep),
         final=frozenset(remap[q] for q in a.final if q in keep),
-        transitions=tuple(
-            Transition(remap[t.src], t.label, remap[t.dst])
-            for t in a.transitions
-            if t.src in keep and t.dst in keep
-        ),
+        transitions=tuple(edges),
     )
-
-
-def _epsilon_scan(a: FiniteAutomaton) -> tuple[bool, int]:
-    """Depth-first ε-cycle scan; returns (cycle found, edges visited).
-
-    Iterative three-color DFS over the ε-subgraph only.  Each ε-edge is
-    visited at most once, so the edge-visit count is ≤ the transition count.
-    """
-    eps_out: list[list[int]] = [[] for _ in a.states]
-    for t in a.transitions:
-        if t.label == EPSILON:
-            eps_out[t.src].append(t.dst)
-
-    color = [0] * a.num_states  # 0 unvisited, 1 in progress, 2 finished
-    visits = 0
-    for start in a.states:
-        if color[start]:
-            continue
-        color[start] = 1
-        stack = [(start, 0)]
-        while stack:
-            node, i = stack[-1]
-            if i < len(eps_out[node]):
-                stack[-1] = (node, i + 1)
-                visits += 1
-                nxt = eps_out[node][i]
-                if color[nxt] == 1:
-                    return True, visits
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    return False, visits
+    return trimmed, (order, tmap)
 
 
 def has_epsilon_cycle(a: FiniteAutomaton) -> bool:
     """True iff some cycle uses only ε-transitions."""
-    return _epsilon_scan(a)[0]
+    eps_succ: list[list[int]] = [[] for _ in a.states]
+    for t in a.transitions:
+        if t.label == EPSILON:
+            eps_succ[t.src].append(t.dst)
+    return dfs_postorder(a.states, eps_succ)[1]
 
 
 # --- paths ------------------------------------------------------------------

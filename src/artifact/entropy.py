@@ -26,7 +26,13 @@ from .analysis import AmbiguityClass, classify
 from .core import EPSILON, has_epsilon_cycle, is_trim
 from .errors import AlphabetTooLarge, EpsilonCycleInput, MassNotOne, NotTrim
 from .oracle import growth_table
-from .semiring import entropy_semiring, map_entropy, map_expectation, shortest_distance
+from .semiring import (
+    PairWeight,
+    entropy_semiring,
+    map_entropy,
+    map_expectation,
+    shortest_distance,
+)
 from .weighted import WeightedAutomaton
 
 LN2 = math.log(2.0)
@@ -42,12 +48,22 @@ def _check_analyzable(wa: WeightedAutomaton) -> None:
         raise EpsilonCycleInput("ε-cycle in the transition graph")
 
 
+def _expectation(wa: WeightedAutomaton, tol: float, max_iter: int) -> PairWeight:
+    """(total mass, mass-weighted length) in one shortest-distance pass."""
+    return shortest_distance(map_expectation(wa), entropy_semiring(), tol, max_iter)
+
+
+def _check_mass(mass: float, mass_tol: float) -> None:
+    if abs(mass - 1.0) > mass_tol:
+        raise MassNotOne(mass, mass_tol)
+
+
 def total_mass(
     wa: WeightedAutomaton, *, tol: float = 1e-10, max_iter: int = 1_000_000
 ) -> float:
     """Σ_x ⟦A⟧(x), the total weight the automaton assigns to all strings."""
     _check_analyzable(wa)
-    return shortest_distance(map_expectation(wa), entropy_semiring(), tol, max_iter).first
+    return _expectation(wa, tol, max_iter).first
 
 
 def validate_probabilistic(
@@ -58,9 +74,7 @@ def validate_probabilistic(
     max_iter: int = 1_000_000,
 ) -> WeightedAutomaton:
     """Check that the automaton defines a probability distribution on strings."""
-    mass = total_mass(wa, tol=tol, max_iter=max_iter)
-    if abs(mass - 1.0) > mass_tol:
-        raise MassNotOne(mass, mass_tol)
+    _check_mass(total_mass(wa, tol=tol, max_iter=max_iter), mass_tol)
     return wa
 
 
@@ -77,7 +91,7 @@ def expected_length(
 ) -> float:
     """Expected number of symbols of a string drawn from the automaton."""
     _check_analyzable(wa)
-    return shortest_distance(map_expectation(wa), entropy_semiring(), tol, max_iter).second
+    return _expectation(wa, tol, max_iter).second
 
 
 def brute_entropy(wa: WeightedAutomaton, max_len: int) -> tuple[float, float]:
@@ -195,9 +209,11 @@ def entropy_report(
     table_max_len: int = 10,
 ) -> EntropyReport:
     """One-stop analysis: mass check, S, L, ambiguity, entropy brackets."""
-    validate_probabilistic(wa, mass_tol, tol=tol, max_iter=max_iter)
-    s = entropy_semiring_estimate(wa, tol=tol, max_iter=max_iter)
-    length = expected_length(wa, tol=tol, max_iter=max_iter)
+    _check_analyzable(wa)
+    expectation = _expectation(wa, tol, max_iter)
+    _check_mass(expectation.first, mass_tol)
+    s = shortest_distance(map_entropy(wa), entropy_semiring(), tol, max_iter).second
+    length = expectation.second
     ambiguity = classify(wa.skeleton)
 
     k_observed: int | None = None

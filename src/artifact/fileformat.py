@@ -20,7 +20,8 @@ from .weighted import WeightedAutomaton, validate_weighted
 
 
 def _parse_id(token: str, lineno: int) -> int:
-    if not token.isdigit():
+    # isdigit() alone admits non-ASCII digits such as '²', which int() rejects
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(lineno, f"state id must be a non-negative integer, got {token!r}")
     return int(token)
 

@@ -1,4 +1,4 @@
-"""Graph helpers: iterative Tarjan SCC and reachability searches.
+"""Graph helpers: iterative Tarjan SCC, DFS postorder and reachability.
 
 The product graphs can hold on the order of |A|^3 states, so recursion is
 off the table; everything here runs on explicit stacks.
@@ -6,7 +6,7 @@ off the table; everything here runs on explicit stacks.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def strongly_connected_components(
@@ -69,7 +69,46 @@ def strongly_connected_components(
     return comp, next_comp
 
 
-def reachable(starts: Sequence[int], successors: Sequence[Sequence[int]]) -> set[int]:
+def dfs_postorder(
+    roots: Iterable[int], successors: Sequence[Sequence[int]]
+) -> tuple[list[int], bool]:
+    """Depth-first postorder of everything reachable from ``roots``.
+
+    Roots are explored in the order given, successors in list order, and
+    each node is emitted once all its descendants are.  Returns (postorder,
+    back edge seen); on an acyclic graph the reversed postorder is a
+    topological order, and a back edge exists iff some reachable cycle does.
+    """
+    ACTIVE, DONE = 1, 2
+    color: dict[int, int] = {}
+    post: list[int] = []
+    cyclic = False
+    for root in roots:
+        if root in color:
+            continue
+        color[root] = ACTIVE
+        stack = [(root, 0)]
+        while stack:
+            node, pos = stack[-1]
+            succ = successors[node]
+            if pos < len(succ):
+                stack[-1] = (node, pos + 1)
+                nxt = succ[pos]
+                state = color.get(nxt)
+                if state is None:
+                    color[nxt] = ACTIVE
+                    stack.append((nxt, 0))
+                elif state == ACTIVE:
+                    cyclic = True
+            else:
+                color[node] = DONE
+                post.append(node)
+                stack.pop()
+    return post, cyclic
+
+
+def reachable(starts: Iterable[int], successors: Sequence[Sequence[int]]) -> set[int]:
+    """Nodes reachable from ``starts`` (included) along successor lists."""
     seen = set(starts)
     stack = list(starts)
     while stack:

@@ -16,7 +16,6 @@ from .core import (
     EPSILON,
     FiniteAutomaton,
     Transition,
-    has_epsilon_cycle,
     trim,
     validate,
 )
@@ -27,37 +26,10 @@ from .errors import (
     NotEpsilon,
     SymbolNotInAlphabet,
 )
+from .graphs import dfs_postorder
 
 GROWTH_MAX_LEN = 14
 GROWTH_MAX_SYMBOLS = 4
-
-
-def _epsilon_reverse_topo(a: FiniteAutomaton) -> list[int]:
-    """States ordered so every ε-successor comes before its source."""
-    order: list[int] = []
-    marked = [0] * a.num_states  # 0 new, 1 active, 2 done
-    eps_succ: list[list[int]] = [[] for _ in a.states]
-    for t in a.transitions:
-        if t.label == EPSILON:
-            eps_succ[t.src].append(t.dst)
-    for root in a.states:
-        if marked[root]:
-            continue
-        stack = [(root, 0)]
-        marked[root] = 1
-        while stack:
-            node, pos = stack[-1]
-            if pos < len(eps_succ[node]):
-                stack[-1] = (node, pos + 1)
-                nxt = eps_succ[node][pos]
-                if not marked[nxt]:
-                    marked[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                marked[node] = 2
-                order.append(node)
-                stack.pop()
-    return order
 
 
 def _as_tokens(a: FiniteAutomaton, x: Sequence[str]) -> tuple[str, ...]:
@@ -79,11 +51,6 @@ def count_paths_between(
     ε-transitions take part in path identity: two paths differing only in
     ε-steps are counted separately.
     """
-    if has_epsilon_cycle(a):
-        raise EpsilonCycleInput("path counts diverge on ε-cycles")
-    tokens = _as_tokens(a, x)
-    target_set = set(targets)
-    order = _epsilon_reverse_topo(a)
     eps_arcs: list[list[int]] = [[] for _ in a.states]
     sym_arcs: list[list[tuple[str, int]]] = [[] for _ in a.states]
     for t in a.transitions:
@@ -91,6 +58,12 @@ def count_paths_between(
             eps_arcs[t.src].append(t.dst)
         else:
             sym_arcs[t.src].append((t.label, t.dst))
+    # postorder: every ε-successor comes before its source
+    order, cyclic = dfs_postorder(a.states, eps_arcs)
+    if cyclic:
+        raise EpsilonCycleInput("path counts diverge on ε-cycles")
+    tokens = _as_tokens(a, x)
+    target_set = set(targets)
     # cur[q] = number of paths from q consuming tokens[k:]; ε-moves stay at
     # position k, so within one k states are filled ε-successors first.
     prev: list[int] = []
@@ -146,10 +119,7 @@ def growth_table(a: FiniteAutomaton, max_len: int) -> GrowthTable:
         )
     if not 0 <= max_len <= GROWTH_MAX_LEN:
         raise ValueError(f"max_len must lie in 0..{GROWTH_MAX_LEN}, got {max_len}")
-    if has_epsilon_cycle(a):
-        raise EpsilonCycleInput("path counts diverge on ε-cycles")
     n = a.num_states
-    forward = _epsilon_reverse_topo(a)[::-1]
     eps_pred: list[list[int]] = [[] for _ in range(n)]
     sym_pred: dict[str, list[list[int]]] = {s: [[] for _ in range(n)] for s in a.alphabet}
     for t in a.transitions:
@@ -157,6 +127,10 @@ def growth_table(a: FiniteAutomaton, max_len: int) -> GrowthTable:
             eps_pred[t.dst].append(t.src)
         else:
             sym_pred[t.label][t.dst].append(t.src)
+    # postorder over ε-predecessors: every state after all its ε-predecessors
+    forward, cyclic = dfs_postorder(range(n), eps_pred)
+    if cyclic:
+        raise EpsilonCycleInput("path counts diverge on ε-cycles")
 
     def close(vec: list[int]) -> list[int]:
         out = [0] * n

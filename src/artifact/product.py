@@ -27,6 +27,7 @@ from enum import Enum
 
 from .core import EPSILON, FiniteAutomaton, Transition, has_epsilon_cycle, is_trim
 from .errors import EpsilonCycleInput, InternalInvariantViolation, NotTrim
+from .graphs import reachable
 
 
 class FilterState(Enum):
@@ -88,10 +89,6 @@ class ProductAutomaton:
     filters: tuple[tuple[int, ...], ...]
     derivations: tuple[tuple[int | None, ...], ...]
 
-    def projection(self, state: int) -> tuple[int, ...]:
-        """Component state ids followed by filter coordinates."""
-        return self.components[state] + self.filters[state]
-
 
 def intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
     """Filtered intersection of two ε-cycle-free automata, trimmed.
@@ -104,7 +101,11 @@ def intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
     for a in (a1, a2):
         if has_epsilon_cycle(a):
             raise EpsilonCycleInput("intersection requires ε-cycle-free inputs")
+    return _intersect(a1, a2)
 
+
+def _intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
+    """intersect() without the input checks, for operands already vetted."""
     by_symbol1, eps1 = _indexed_arcs(a1)
     by_symbol2, eps2 = _indexed_arcs(a2)
 
@@ -179,7 +180,9 @@ def square(a: FiniteAutomaton) -> ProductAutomaton:
     """A ∩ A with the pair projection exposed; requires a trim input."""
     if not is_trim(a):
         raise NotTrim("square requires a trim automaton")
-    product = intersect(a, a)
+    if has_epsilon_cycle(a):
+        raise EpsilonCycleInput("intersection requires ε-cycle-free inputs")
+    product = _intersect(a, a)
     if product.underlying.num_states > 3 * a.num_states * a.num_states:
         raise InternalInvariantViolation("square grew past 3·|Q|² states")
     return product
@@ -193,8 +196,17 @@ def cube(a: FiniteAutomaton) -> ProductAutomaton:
     Because each pairwise product keeps exactly one interleaving per pair of
     component paths, triple path counts stay multiplicative.
     """
-    sq = square(a)
-    outer = intersect(sq.underlying, a)
+    return _cube(a, square(a))
+
+
+def _cube(a: FiniteAutomaton, sq: ProductAutomaton) -> ProductAutomaton:
+    """cube(a) on top of sq = square(a).
+
+    No ε-cycle check on sq's underlying automaton: every ε-move of a
+    filtered product advances at least one side, so a product of
+    ε-cycle-free operands has no ε-cycle.
+    """
+    outer = _intersect(sq.underlying, a)
     components = []
     filter_coords = []
     for s in range(outer.underlying.num_states):
@@ -231,13 +243,7 @@ def _compact(alphabet, arity, states, filter_coords, initial, final, edges):
     backward: list[list[int]] = [[] for _ in states]
     for src, _, dst, _ in edges:
         backward[dst].append(src)
-    keep = set(final)
-    stack = list(final)
-    while stack:
-        for prev in backward[stack.pop()]:
-            if prev not in keep:
-                keep.add(prev)
-                stack.append(prev)
+    keep = reachable(final, backward)
 
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .core import FiniteAutomaton, useful_states, validate
+from .core import FiniteAutomaton, _trim, validate
 from .errors import NonPositiveWeight, WeightOutOfRange
 
 
@@ -24,20 +24,12 @@ class WeightedAutomaton:
     lam: tuple
     rho: tuple
 
-    @property
-    def lam_map(self) -> dict[int, Any]:
-        return dict(self.lam)
-
-    @property
-    def rho_map(self) -> dict[int, Any]:
-        return dict(self.rho)
-
 
 def _check_probability(value: float, what: str, allow_zero: bool) -> float:
     value = float(value)
     if value < 0.0 or (value == 0.0 and not allow_zero):
         raise NonPositiveWeight(f"{what} must be positive, got {value}")
-    if value > 1.0:
+    if not value <= 1.0:  # also catches NaN, for which every comparison is false
         raise WeightOutOfRange(f"{what} must be at most 1, got {value}")
     return value
 
@@ -80,26 +72,14 @@ def validate_weighted(
 
 def trim_weighted(wa: WeightedAutomaton) -> WeightedAutomaton:
     """Drop useless states, carrying the weights along."""
-    skel = wa.skeleton
-    keep = useful_states(skel)
-    if len(keep) == skel.num_states:
+    skeleton, maps = _trim(wa.skeleton)
+    if maps is None:
         return wa
-    remap = {old: new for new, old in enumerate(sorted(keep))}
-    transitions = []
-    weights = []
-    for tr, w in zip(skel.transitions, wa.weights):
-        if tr.src in keep and tr.dst in keep:
-            transitions.append((remap[tr.src], tr.label, remap[tr.dst]))
-            weights.append(w)
-    skeleton = validate(
-        skel.alphabet,
-        len(keep),
-        [remap[q] for q in skel.initial if q in keep],
-        [remap[q] for q in skel.final if q in keep],
-        transitions,
-    )
-    lam = tuple((remap[q], v) for q, v in wa.lam if q in keep)
-    rho = tuple((remap[q], v) for q, v in wa.rho if q in keep)
+    order, tmap = maps
+    remap = {old: new for new, old in enumerate(order)}
     return WeightedAutomaton(
-        skeleton=skeleton, weights=tuple(weights), lam=lam, rho=rho
+        skeleton=skeleton,
+        weights=tuple(wa.weights[i] for i in tmap),
+        lam=tuple((remap[q], v) for q, v in wa.lam if q in remap),
+        rho=tuple((remap[q], v) for q, v in wa.rho if q in remap),
     )

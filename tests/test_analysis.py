@@ -243,3 +243,41 @@ def test_witness_dicts_are_json_shaped():
     w = classify(EX_POLY2, want_witness=True).witness.as_dict()
     assert w["kind"] == "dpa"
     assert w["pairs"] == [[0, 1], [1, 2]]
+
+
+@pytest.fixture
+def product_builds(monkeypatch):
+    """Every filtered intersection built, as 'square' (A ∩ A) or 'outer' (A² ∩ A)."""
+    from artifact import product
+
+    builds = []
+    build = product._intersect
+
+    def counting(a1, a2):
+        builds.append("square" if a1 is a2 else "outer")
+        return build(a1, a2)
+
+    monkeypatch.setattr(product, "_intersect", counting)
+    return builds
+
+
+def _ladder(k):
+    edges = [(i, "a", i) for i in range(k)] + [(i, "a", i + 1) for i in range(k - 1)]
+    return validate(("a",), k, [0], [k - 1], edges)
+
+
+def test_classify_builds_one_square_and_reuses_it_for_the_cube(product_builds):
+    assert classify(EX_EXP, want_witness=True).witness is not None
+    assert product_builds == ["square"]
+    product_builds.clear()
+    assert classify(EX_POLY2, want_witness=True).degree == 2
+    assert product_builds == ["square", "outer"]
+
+
+@pytest.mark.parametrize("a", [EX_POLY2, _ladder(5)], ids=["poly2", "ladder5"])
+def test_chain_verification_builds_one_cube(product_builds, a):
+    degree, witness = dpa_with_witness(a)
+    assert degree == a.num_states - 1
+    product_builds.clear()
+    assert verify_dpa_witness(a, witness, degree)
+    assert product_builds == ["square", "outer"]

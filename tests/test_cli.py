@@ -185,3 +185,20 @@ def test_entropy_weighted_file_round_trip(tmp_path, capsys):
     path.write_text(serialize(EX_UNIF))
     assert main(["entropy", str(path)]) == 0
     assert capsys.readouterr().out == "s 0.693147\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "initial 0 1.0\nfinal 0 nan\ntrans 0 0 a 0.5\n",
+        "initial 0 1.0\nfinal 0 0.5\ntrans 0 0 a nan\n",
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--report"]])
+def test_nan_weight_exits_4(tmp_path, capsys, text, flags):
+    path = tmp_path / "nan.fa"
+    path.write_text(text)
+    assert main(["entropy", *flags, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nan" in captured.err

@@ -1,5 +1,7 @@
 """Text format round-trips and parse diagnostics."""
 
+import math
+
 import pytest
 
 from artifact.errors import (
@@ -18,7 +20,7 @@ from artifact.fixtures import (
     EX_POLY2,
     EX_UNIF,
 )
-from artifact.weighted import WeightedAutomaton
+from artifact.weighted import WeightedAutomaton, validate_weighted
 
 
 def test_unweighted_round_trip():
@@ -107,3 +109,20 @@ def test_weight_range_is_validated():
 def test_serialize_is_deterministic():
     assert serialize(EX_FIN2) == serialize(EX_FIN2)
     assert serialize(EX_GEO) == serialize(EX_GEO)
+
+
+def test_non_ascii_digit_state_ids_are_parse_errors():
+    with pytest.raises(ParseError) as exc:
+        parse("initial 0\ntrans 0 ² a\n")
+    assert "line 2" in str(exc.value)
+    with pytest.raises(ParseError):
+        parse("final ١\n")
+
+
+def test_nan_weights_are_out_of_range():
+    with pytest.raises(WeightOutOfRange):
+        validate_weighted(("a",), 1, {0: 1.0}, {0: math.nan}, [(0, "a", 0, 0.5)])
+    with pytest.raises(WeightOutOfRange):
+        validate_weighted(("a",), 1, {0: 1.0}, {0: 0.5}, [(0, "a", 0, math.nan)])
+    with pytest.raises(WeightOutOfRange):
+        parse("initial 0 1.0\nfinal 0 nan\ntrans 0 0 a 0.5\n")
