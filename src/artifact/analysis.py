@@ -608,6 +608,17 @@ def classify(a: FiniteAutomaton, want_witness: bool = False) -> AmbiguityReport:
     if has_epsilon_cycle(a):
         raise EpsilonCycleInput("classification requires an ε-cycle-free automaton")
     t, maps = _trim(a)
+    return _classify_trim(t, want_witness, maps)
+
+
+def _classify_trim(
+    t: FiniteAutomaton, want_witness: bool = False, maps=None
+) -> AmbiguityReport:
+    """classify() of a trim, ε-cycle-free automaton, without checking either.
+
+    maps, as returned by core._trim, carry the witness back to the ids of
+    the automaton that t was trimmed from.
+    """
     if t.num_states == 0 or t.num_transitions == 0:
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
     degree, witness = _growth(t, want_witness, want_witness)

@@ -3,8 +3,8 @@
 One automaton per file, one command per invocation.  Human-readable output
 rounds floats to 6 decimal places; `--json`/`--report` switch to single-line
 structured output at full precision.  Exit codes: 0 success, 2 usage or
-parse error, 3 ε-cycle input, 4 probabilistic validation or convergence
-failure, 5 internal invariant violation.
+parse error, 3 ε-cycle input, 4 probabilistic validation failure or cycle
+mass ≥ 1, 5 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("entropy", help="entropy of a probabilistic automaton")
     e.add_argument("file")
     e.add_argument("--method", choices=("semiring", "brute"), default="semiring")
-    e.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance")
+    e.add_argument("--tol", type=float, default=1e-10, help="largest accepted solve residual")
     e.add_argument("--max-len", type=int, default=12, help="truncation for --method brute")
     e.add_argument("--base", choices=("e", "2"), default="e")
     e.add_argument("--report", action="store_true", help="full structured report")
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     el = sub.add_parser("expected-length", help="expected string length")
     el.add_argument("file")
-    el.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance")
+    el.add_argument("--tol", type=float, default=1e-10, help="largest accepted solve residual")
     el.set_defaults(func=_cmd_expected_length)
 
     o = sub.add_parser("oracle", help="brute-force cross-checks")

@@ -22,17 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AmbiguityClass, classify
+from .analysis import AmbiguityClass, _classify_trim
 from .core import EPSILON, has_epsilon_cycle, is_trim
 from .errors import AlphabetTooLarge, EpsilonCycleInput, MassNotOne, NotTrim
 from .oracle import growth_table
-from .semiring import (
-    PairWeight,
-    entropy_semiring,
-    map_entropy,
-    map_expectation,
-    shortest_distance,
-)
+from .semiring import PairWeight, map_entropy, map_expectation, shortest_distance
 from .weighted import WeightedAutomaton
 
 LN2 = math.log(2.0)
@@ -48,9 +42,9 @@ def _check_analyzable(wa: WeightedAutomaton) -> None:
         raise EpsilonCycleInput("ε-cycle in the transition graph")
 
 
-def _expectation(wa: WeightedAutomaton, tol: float, max_iter: int) -> PairWeight:
+def _expectation(wa: WeightedAutomaton, tol: float) -> PairWeight:
     """(total mass, mass-weighted length) in one shortest-distance pass."""
-    return shortest_distance(map_expectation(wa), entropy_semiring(), tol, max_iter)
+    return shortest_distance(map_expectation(wa), tol)
 
 
 def _check_mass(mass: float, mass_tol: float) -> None:
@@ -58,12 +52,10 @@ def _check_mass(mass: float, mass_tol: float) -> None:
         raise MassNotOne(mass, mass_tol)
 
 
-def total_mass(
-    wa: WeightedAutomaton, *, tol: float = 1e-10, max_iter: int = 1_000_000
-) -> float:
+def total_mass(wa: WeightedAutomaton, *, tol: float = 1e-10) -> float:
     """Σ_x ⟦A⟧(x), the total weight the automaton assigns to all strings."""
     _check_analyzable(wa)
-    return _expectation(wa, tol, max_iter).first
+    return _expectation(wa, tol).first
 
 
 def validate_probabilistic(
@@ -71,27 +63,22 @@ def validate_probabilistic(
     mass_tol: float = 1e-6,
     *,
     tol: float = 1e-10,
-    max_iter: int = 1_000_000,
 ) -> WeightedAutomaton:
     """Check that the automaton defines a probability distribution on strings."""
-    _check_mass(total_mass(wa, tol=tol, max_iter=max_iter), mass_tol)
+    _check_mass(total_mass(wa, tol=tol), mass_tol)
     return wa
 
 
-def entropy_semiring_estimate(
-    wa: WeightedAutomaton, *, tol: float = 1e-10, max_iter: int = 1_000_000
-) -> float:
+def entropy_semiring_estimate(wa: WeightedAutomaton, *, tol: float = 1e-10) -> float:
     """S(A) = −Σ over accepting paths π of p(π)·ln p(π)."""
     _check_analyzable(wa)
-    return shortest_distance(map_entropy(wa), entropy_semiring(), tol, max_iter).second
+    return shortest_distance(map_entropy(wa), tol).second
 
 
-def expected_length(
-    wa: WeightedAutomaton, *, tol: float = 1e-10, max_iter: int = 1_000_000
-) -> float:
+def expected_length(wa: WeightedAutomaton, *, tol: float = 1e-10) -> float:
     """Expected number of symbols of a string drawn from the automaton."""
     _check_analyzable(wa)
-    return _expectation(wa, tol, max_iter).second
+    return _expectation(wa, tol).second
 
 
 def brute_entropy(wa: WeightedAutomaton, max_len: int) -> tuple[float, float]:
@@ -203,18 +190,22 @@ def entropy_report(
     *,
     mass_tol: float = 1e-6,
     tol: float = 1e-10,
-    max_iter: int = 1_000_000,
     want_brute: bool = False,
     brute_max_len: int = 12,
     table_max_len: int = 10,
 ) -> EntropyReport:
-    """One-stop analysis: mass check, S, L, ambiguity, entropy brackets."""
+    """One-stop analysis: mass check, S, L, ambiguity, entropy brackets.
+
+    tol is the largest relative residual accepted from any linear solve
+    behind S and L; a larger one raises NonConvergent.
+    """
     _check_analyzable(wa)
-    expectation = _expectation(wa, tol, max_iter)
+    expectation = _expectation(wa, tol)
     _check_mass(expectation.first, mass_tol)
-    s = shortest_distance(map_entropy(wa), entropy_semiring(), tol, max_iter).second
+    s = shortest_distance(map_entropy(wa), tol).second
     length = expectation.second
-    ambiguity = classify(wa.skeleton)
+    # the skeleton passed _check_analyzable: trim and free of ε-cycles
+    ambiguity = _classify_trim(wa.skeleton)
 
     k_observed: int | None = None
     vacuous = False

@@ -46,7 +46,7 @@ class EpsilonInput(AutomatonError):
 
 
 class NonConvergent(AutomatonError):
-    """Iterative weight relaxation did not converge within the iteration cap."""
+    """A weighted distance diverges (cycle mass ≥ 1) or its solve is inaccurate."""
 
 
 class NonPositiveWeight(AutomatonError):

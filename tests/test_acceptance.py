@@ -36,7 +36,7 @@ from artifact.oracle import (
     split_transition,
 )
 from artifact.product import EpsMove, FilterState, intersect, square, filter_step
-from artifact.semiring import entropy_semiring, map_entropy, shortest_distance
+from artifact.semiring import map_entropy, shortest_distance
 
 from conftest import (
     build_corpus100,

@@ -101,7 +101,7 @@ def test_entropy_report_is_full_precision_json(write, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ambiguity"] == "FINITE"
     assert doc["dpa"] == 0
-    assert abs(doc["s"] - 1.3862943610681966) < 1e-12
+    assert abs(doc["s"] - 2 * math.log(2)) < 1e-12
     assert doc["bound_low"] == doc["bound_high"] == doc["s"]
 
 
@@ -202,3 +202,14 @@ def test_nan_weight_exits_4(tmp_path, capsys, text, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nan" in captured.err
+
+
+@pytest.mark.parametrize("command", ["entropy", "expected-length"])
+def test_divergent_mass_exits_4(tmp_path, capsys, command):
+    # a weight-1 loop that also stops with weight 1: the mass diverges
+    path = tmp_path / "loop.fa"
+    path.write_text("initial 0 1.0\nfinal 0 1.0\ntrans 0 0 a 1.0\n")
+    assert main([command, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

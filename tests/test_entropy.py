@@ -139,3 +139,24 @@ def test_report_on_random_probabilistic_corpus_respects_bounds(prob50):
         assert r.ambiguity == AmbiguityClass.FINITE
         assert h_brute - 1e-9 <= r.s
         assert r.s <= h_brute + math.log(r.k_observed) + 1e-6
+
+
+def test_400_state_ring_matches_its_closed_form():
+    # state i stops with 0.05 and moves on to i + 1 (mod n) on a or b, with
+    # a/b shares alternating 0.6/0.4 and 0.3/0.7; deterministic, so H = S.
+    # State i is visited g^i/(1 − g^n) times on average, g = 0.95.
+    n, stop = 400, 0.05
+    g = 1 - stop
+    shares = [(0.6, 0.4) if i % 2 == 0 else (0.3, 0.7) for i in range(n)]
+    edges = []
+    for i, (pa, pb) in enumerate(shares):
+        edges += [(i, "a", (i + 1) % n, g * pa), (i, "b", (i + 1) % n, g * pb)]
+    wa = validate_weighted(("a", "b"), n, {0: 1.0}, {i: stop for i in range(n)}, edges)
+    visits = [g**i / (1 - g**n) for i in range(n)]
+    local_h = [-sum(p * math.log(p) for p in (stop, g * pa, g * pb)) for pa, pb in shares]
+    s = math.fsum(v * h for v, h in zip(visits, local_h))
+    length = math.fsum(v * g for v in visits)
+    r = entropy_report(wa)
+    assert abs(r.s - s) <= 1e-12
+    assert abs(r.l - length) <= 1e-12
+    assert r.bound_low - 1e-12 <= s <= r.bound_high + 1e-12
