@@ -17,10 +17,10 @@ from .analysis import classify, dpa
 from .core import EPSILON, FiniteAutomaton, is_trim, trim
 from .entropy import (
     LN2,
+    _checked_expectation,
     brute_entropy,
     entropy_report,
     entropy_semiring_estimate,
-    expected_length,
     validate_probabilistic,
 )
 from .errors import (
@@ -151,8 +151,8 @@ def _cmd_expected_length(args: argparse.Namespace) -> int:
     wa = _require_weighted(_load(args.file))
     if wa is None:
         return 4
-    validate_probabilistic(wa, tol=args.tol)
-    print(f"l {expected_length(wa, tol=args.tol):.6f}")
+    # the mass check and L come from one expectation pass
+    print(f"l {_checked_expectation(wa, args.tol).second:.6f}")
     return 0
 
 

@@ -31,6 +31,9 @@ from .weighted import WeightedAutomaton
 
 LN2 = math.log(2.0)
 
+# default largest accepted |total mass − 1|
+_MASS_TOL = 1e-6
+
 # brute_entropy enumerates strings; refuse anything past this many leaves
 _BRUTE_CAP = 4_194_304
 
@@ -52,6 +55,16 @@ def _check_mass(mass: float, mass_tol: float) -> None:
         raise MassNotOne(mass, mass_tol)
 
 
+def _checked_expectation(
+    wa: WeightedAutomaton, tol: float, mass_tol: float = _MASS_TOL
+) -> PairWeight:
+    """_expectation of an analyzable automaton whose mass is 1 within mass_tol."""
+    _check_analyzable(wa)
+    expectation = _expectation(wa, tol)
+    _check_mass(expectation.first, mass_tol)
+    return expectation
+
+
 def total_mass(wa: WeightedAutomaton, *, tol: float = 1e-10) -> float:
     """Σ_x ⟦A⟧(x), the total weight the automaton assigns to all strings."""
     _check_analyzable(wa)
@@ -60,12 +73,12 @@ def total_mass(wa: WeightedAutomaton, *, tol: float = 1e-10) -> float:
 
 def validate_probabilistic(
     wa: WeightedAutomaton,
-    mass_tol: float = 1e-6,
+    mass_tol: float = _MASS_TOL,
     *,
     tol: float = 1e-10,
 ) -> WeightedAutomaton:
     """Check that the automaton defines a probability distribution on strings."""
-    _check_mass(total_mass(wa, tol=tol), mass_tol)
+    _checked_expectation(wa, tol, mass_tol)
     return wa
 
 
@@ -188,7 +201,7 @@ class EntropyReport:
 def entropy_report(
     wa: WeightedAutomaton,
     *,
-    mass_tol: float = 1e-6,
+    mass_tol: float = _MASS_TOL,
     tol: float = 1e-10,
     want_brute: bool = False,
     brute_max_len: int = 12,
@@ -199,9 +212,7 @@ def entropy_report(
     tol is the largest relative residual accepted from any linear solve
     behind S and L; a larger one raises NonConvergent.
     """
-    _check_analyzable(wa)
-    expectation = _expectation(wa, tol)
-    _check_mass(expectation.first, mass_tol)
+    expectation = _checked_expectation(wa, tol, mass_tol)
     s = shortest_distance(map_entropy(wa), tol).second
     length = expectation.second
     # the skeleton passed _check_analyzable: trim and free of ε-cycles

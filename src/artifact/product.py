@@ -17,13 +17,27 @@ Per composite state the generator considers four move kinds:
 
 The marking that motivates the move names is virtual: no self-loops are ever
 materialized and no labels are rewritten.
+
+One worklist kernel, _intersect, builds every product: intersect, square
+and both steps of cube.  It codes the composite state (q1, q2, f) as the
+integer (q1·|Q2| + q2)·3 + f, with the filter state Fk as k, and moves the
+filter by small integer tables read off _EPS_NEXT, which stays the one
+definition of the filter.  Labels are ranked with ε first and the symbols
+in sorted order, so each edge carries one integer sort key
+(src·#labels + rank)·width + dst, and no Transition or tuple is built for
+an edge until the product is assembled.  The order contract of the result:
+state ids number the co-accessible states in breadth-first discovery order
+(initial pairs first, in sorted order), and transitions are sorted by
+(src, label, dst) like those of any FiniteAutomaton, with ``derivations``
+in the same order.  Dropping the states that cannot reach a final one
+renumbers the rest monotonically, which keeps that sort.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .core import EPSILON, FiniteAutomaton, Transition, has_epsilon_cycle, is_trim
 from .errors import EpsilonCycleInput, InternalInvariantViolation, NotTrim
@@ -62,6 +76,27 @@ _EPS_NEXT: dict[tuple[FilterState, EpsMove], FilterState] = {
     (FilterState.F1, EpsMove.E1E1): FilterState.F1,
     (FilterState.F2, EpsMove.E2E2): FilterState.F2,
 }
+
+
+def _move_table(move: EpsMove) -> tuple[int, ...]:
+    """_EPS_NEXT for one move kind as a tuple indexed by filter value; -1 = blocked."""
+    return tuple(
+        -1 if (after := _EPS_NEXT.get((f, move))) is None else after.value
+        for f in FilterState
+    )
+
+
+# The kernel's integer view of the filter: FilterState.Fk is k, and these
+# tables are _EPS_NEXT read per move kind.
+_F0 = FilterState.F0.value
+_LEFT_NEXT = _move_table(EpsMove.E2E2)
+_RIGHT_NEXT = _move_table(EpsMove.E1E1)
+_BOTH_NEXT = _move_table(EpsMove.E2E1)
+_FILTER_COORDS = tuple((f.value,) for f in FilterState)
+
+# Transition(src, label, dst) from a ready (src, label, dst) tuple, without
+# the Python-level __new__ of the named tuple
+_make_transition = partial(tuple.__new__, Transition)
 
 
 def filter_step(state: FilterState, move: EpsMove | MatchSymbol) -> FilterState | None:
@@ -106,73 +141,130 @@ def intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
 
 def _intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
     """intersect() without the input checks, for operands already vetted."""
-    by_symbol1, eps1 = _indexed_arcs(a1)
-    by_symbol2, eps2 = _indexed_arcs(a2)
+    # labels ranked as the canonical transition order sorts them: ε ("")
+    # first, then the symbols in sorted order
+    labels = [EPSILON] + sorted({t.label for t in a1.transitions} - {EPSILON})
+    rank = {label: r for r, label in enumerate(labels)}
+    n_labels = len(labels)
+    w1 = 3 * a2.num_states  # code stride of q1; q2's stride is 3
+    width = w1 * a1.num_states  # every code, hence every state id, is below it
+    symbol1, eps1 = _coded_arcs(a1, rank, w1)
+    symbol2, eps2 = _coded_arcs(a2, rank, 3)
 
-    state_ids: dict[tuple[int, int, FilterState], int] = {}
-    states: list[tuple[int, int, FilterState]] = []
-
-    def state_id(q1: int, q2: int, f: FilterState) -> int:
-        key = (q1, q2, f)
-        found = state_ids.get(key)
-        if found is None:
-            found = len(states)
-            state_ids[key] = found
-            states.append(key)
-        return found
-
-    queue = deque()
+    ids: dict[int, int] = {}
+    codes: list[int] = []
     for i1 in sorted(a1.initial):
         for i2 in sorted(a2.initial):
-            queue.append(state_id(i1, i2, FilterState.F0))
+            code = i1 * w1 + i2 * 3 + _F0
+            ids[code] = len(codes)
+            codes.append(code)
+    initial = range(len(codes))
 
-    edges: list[tuple[int, str, int, tuple[int | None, int | None]]] = []
-    while queue:
-        s = queue.popleft()
-        q1, q2, f = states[s]
-        n_before = len(states)
+    # Per edge: its sort key (src·n_labels + label rank)·width + dst, and its
+    # derivation.  Edges leave states in discovery order, so ends[s] closes
+    # the run of edges out of state s.
+    keys: list[int] = []
+    derivations: list[tuple[int | None, int | None]] = []
+    ends: list[int] = []
+    get_id, add_code = ids.get, codes.append
+    add_key, add_derivation = keys.append, derivations.append
 
-        for label, arcs1 in by_symbol1[q1].items():
-            arcs2 = by_symbol2[q2].get(label)
-            if not arcs2:
+    def state_id(c: int) -> int:
+        d = get_id(c)
+        if d is None:
+            d = ids[c] = len(codes)
+            add_code(c)
+        return d
+
+    s = 0
+    while s < len(codes):
+        code = codes[s]
+        q1, rest = divmod(code, w1)
+        q2, f = divmod(rest, 3)
+        row = s * n_labels
+        arcs2_by_rank = symbol2[q2]
+        for r, arcs1 in symbol1[q1].items():
+            arcs2 = arcs2_by_rank.get(r)
+            if arcs2 is None:
                 continue
-            for d1, i1 in arcs1:
-                for d2, i2 in arcs2:
-                    # symbol matches always reset the filter to F0
-                    edges.append((s, label, state_id(d1, d2, FilterState.F0), (i1, i2)))
+            base = (row + r) * width
+            for c1, i1 in arcs1:
+                for c2, i2 in arcs2:
+                    # symbol matches always reset the filter to F0; state_id
+                    # is inlined on this, the kernel's hot path
+                    c = c1 + c2 + _F0
+                    d = get_id(c)
+                    if d is None:
+                        d = ids[c] = len(codes)
+                        add_code(c)
+                    add_key(base + d)
+                    add_derivation((i1, i2))
+        base = row * width  # ε has rank 0
+        g = _LEFT_NEXT[f]
+        if g >= 0:
+            stay = rest - f + g
+            for c1, i1 in eps1[q1]:
+                add_key(base + state_id(c1 + stay))
+                add_derivation((i1, None))
+        g = _RIGHT_NEXT[f]
+        if g >= 0:
+            stay = code - rest + g
+            for c2, i2 in eps2[q2]:
+                add_key(base + state_id(stay + c2))
+                add_derivation((None, i2))
+        g = _BOTH_NEXT[f]
+        if g >= 0:
+            for c1, i1 in eps1[q1]:
+                for c2, i2 in eps2[q2]:
+                    add_key(base + state_id(c1 + c2 + g))
+                    add_derivation((i1, i2))
+        ends.append(len(keys))
+        s += 1
 
-        f_left = _EPS_NEXT.get((f, EpsMove.E2E2))
-        if f_left is not None:
-            for d1, i1 in eps1[q1]:
-                edges.append((s, EPSILON, state_id(d1, q2, f_left), (i1, None)))
-        f_right = _EPS_NEXT.get((f, EpsMove.E1E1))
-        if f_right is not None:
-            for d2, i2 in eps2[q2]:
-                edges.append((s, EPSILON, state_id(q1, d2, f_right), (None, i2)))
-        if _EPS_NEXT.get((f, EpsMove.E2E1)) is not None:
-            for d1, i1 in eps1[q1]:
-                for d2, i2 in eps2[q2]:
-                    edges.append((s, EPSILON, state_id(d1, d2, FilterState.F0), (i1, i2)))
+    # keep the co-accessible states; an edge survives iff its target does
+    dsts = [k % width for k in keys]
+    backward: list[list[int]] = [[] for _ in codes]
+    start = 0
+    for src, end in enumerate(ends):
+        for d in dsts[start:end]:
+            backward[d].append(src)
+        start = end
+    final1, final2 = a1.final, a2.final
+    final = [s for s, c in enumerate(codes) if c // w1 in final1 and c % w1 // 3 in final2]
+    order = sorted(reachable(final, backward))
+    new_id = [-1] * len(codes)
+    for new, old in enumerate(order):
+        new_id[old] = new
 
-        for fresh in range(n_before, len(states)):
-            queue.append(fresh)
-
-    final_ids = [
-        s
-        for s, (q1, q2, _) in enumerate(states)
-        if q1 in a1.final and q2 in a2.final
-    ]
-    alphabet = tuple(a1.alphabet) + tuple(
-        x for x in a2.alphabet if x not in set(a1.alphabet)
+    # the renumbering is monotone, so sorting by the old keys sorts the
+    # kept edges by their new (src, label, dst)
+    kept = [i for i in sorted(range(len(keys)), key=keys.__getitem__) if new_id[dsts[i]] >= 0]
+    kept_keys = [keys[i] for i in kept]
+    rows = [k // width for k in kept_keys]
+    transitions = tuple(map(_make_transition, zip(
+        [new_id[row // n_labels] for row in rows],
+        [labels[row % n_labels] for row in rows],
+        [new_id[dsts[i]] for i in kept],
+    )))
+    if len(set(kept_keys)) != len(kept_keys):
+        for t1, t2 in zip(transitions, transitions[1:]):
+            if t1 == t2:
+                raise InternalInvariantViolation(f"duplicate product transition {t1}")
+    kept_codes = [codes[old] for old in order]
+    alphabet1 = set(a1.alphabet)
+    underlying = FiniteAutomaton(
+        alphabet=tuple(a1.alphabet) + tuple(x for x in a2.alphabet if x not in alphabet1),
+        num_states=len(order),
+        initial=frozenset(new_id[s] for s in initial if new_id[s] >= 0),
+        final=frozenset(new_id[s] for s in final),
+        transitions=transitions,
     )
-    return _compact(
-        alphabet=alphabet,
+    return ProductAutomaton(
+        underlying=underlying,
         arity=2,
-        states=[(q1, q2) for q1, q2, _ in states],
-        filter_coords=[(f.value,) for _, _, f in states],
-        initial=[state_ids[(i1, i2, FilterState.F0)] for i1 in a1.initial for i2 in a2.initial],
-        final=final_ids,
-        edges=edges,
+        components=tuple([(c // w1, c % w1 // 3) for c in kept_codes]),
+        filters=tuple([_FILTER_COORDS[c % 3] for c in kept_codes]),
+        derivations=tuple(map(derivations.__getitem__, kept)),
     )
 
 
@@ -207,67 +299,35 @@ def _cube(a: FiniteAutomaton, sq: ProductAutomaton) -> ProductAutomaton:
     ε-cycle-free operands has no ε-cycle.
     """
     outer = _intersect(sq.underlying, a)
-    components = []
-    filter_coords = []
-    for s in range(outer.underlying.num_states):
-        s12, q3 = outer.components[s]
-        components.append(sq.components[s12] + (q3,))
-        filter_coords.append(sq.filters[s12] + outer.filters[s])
-    derivations = []
-    for j, i3 in outer.derivations:
-        left = sq.derivations[j] if j is not None else (None, None)
-        derivations.append(left + (i3,))
+    pairs, pair_filters, pair_derivations = sq.components, sq.filters, sq.derivations
+    stay = (None, None)
     return ProductAutomaton(
         underlying=outer.underlying,
         arity=3,
-        components=tuple(components),
-        filters=tuple(filter_coords),
-        derivations=tuple(derivations),
+        components=tuple([pairs[s12] + (q3,) for s12, q3 in outer.components]),
+        filters=tuple([
+            pair_filters[s12] + f3
+            for (s12, _), f3 in zip(outer.components, outer.filters)
+        ]),
+        derivations=tuple([
+            (stay if j is None else pair_derivations[j]) + (i3,)
+            for j, i3 in outer.derivations
+        ]),
     )
 
 
-def _indexed_arcs(a: FiniteAutomaton):
-    """Per-state arcs split into symbol arcs (grouped by label) and ε-arcs."""
-    by_symbol: list[dict[str, list[tuple[int, int]]]] = [{} for _ in a.states]
+def _coded_arcs(a: FiniteAutomaton, rank: dict[str, int], stride: int):
+    """Per-state arcs of a as (dst·stride, transition index) pairs.
+
+    Returns the symbol arcs, as dicts from label rank to arcs in order of
+    first appearance, and the ε-arcs.  Labels without a rank cannot match
+    and are dropped.
+    """
+    by_rank: list[dict[int, list[tuple[int, int]]]] = [{} for _ in a.states]
     eps: list[list[tuple[int, int]]] = [[] for _ in a.states]
-    for i, t in enumerate(a.transitions):
-        if t.label == EPSILON:
-            eps[t.src].append((t.dst, i))
-        else:
-            by_symbol[t.src].setdefault(t.label, []).append((t.dst, i))
-    return by_symbol, eps
-
-
-def _compact(alphabet, arity, states, filter_coords, initial, final, edges):
-    """Keep only co-accessible states, renumber, and assemble the product."""
-    backward: list[list[int]] = [[] for _ in states]
-    for src, _, dst, _ in edges:
-        backward[dst].append(src)
-    keep = reachable(final, backward)
-
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    kept_edges = [
-        (Transition(remap[src], label, remap[dst]), deriv)
-        for src, label, dst, deriv in edges
-        if src in keep and dst in keep
-    ]
-    kept_edges.sort(key=lambda item: item[0])
-    for (t1, _), (t2, _) in zip(kept_edges, kept_edges[1:]):
-        if t1 == t2:
-            raise InternalInvariantViolation(f"duplicate product transition {t1}")
-
-    underlying = FiniteAutomaton(
-        alphabet=tuple(alphabet),
-        num_states=len(order),
-        initial=frozenset(remap[s] for s in initial if s in keep),
-        final=frozenset(remap[s] for s in final),
-        transitions=tuple(t for t, _ in kept_edges),
-    )
-    return ProductAutomaton(
-        underlying=underlying,
-        arity=arity,
-        components=tuple(states[old] for old in order),
-        filters=tuple(filter_coords[old] for old in order),
-        derivations=tuple(deriv for _, deriv in kept_edges),
-    )
+    for i, (src, label, dst) in enumerate(a.transitions):
+        if label == EPSILON:
+            eps[src].append((dst * stride, i))
+        elif label in rank:
+            by_rank[src].setdefault(rank[label], []).append((dst * stride, i))
+    return by_rank, eps

@@ -110,6 +110,22 @@ def test_expected_length_output(write, capsys):
     assert capsys.readouterr().out == "l 1.000000\n"
 
 
+def test_expected_length_solves_the_expectation_system_once(write, capsys, monkeypatch):
+    from artifact import entropy
+
+    calls = []
+    solve = entropy.shortest_distance
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "shortest_distance", counting)
+    assert main(["expected-length", write("geo.fa", EX_GEO)]) == 0
+    assert capsys.readouterr().out == "l 1.000000\n"
+    assert len(calls) == 1
+
+
 def test_info_summarizes_structure(write, capsys):
     assert main(["info", write("p2.fa", EX_POLY2)]) == 0
     out = capsys.readouterr().out

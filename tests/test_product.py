@@ -2,15 +2,17 @@
 
 import itertools
 
-from artifact.core import EPSILON, validate
+from artifact import product
+from artifact.core import EPSILON, trim, validate
 from artifact.errors import EpsilonCycleInput, NotTrim
-from artifact.fixtures import EX_EPS, EX_EXP, EX_FIN2, EX_POLY1
+from artifact.fixtures import EX_EPS, EX_EXP, EX_FIN2, EX_POLY1, EX_POLY2
 from artifact.oracle import count_paths
 from artifact.product import cube, intersect, square
 
 import pytest
 
-from conftest import build_pairs200, semantic_count
+import reference_product
+from conftest import build_corpus100, build_pairs200, semantic_count
 
 
 def test_intersection_counts_multiply_on_seeded_pairs():
@@ -121,3 +123,38 @@ def test_cube_components_track_source_and_destination():
             else:
                 assert a.transitions[i].src == src[coord]
                 assert a.transitions[i].dst == dst[coord]
+
+
+def _kernel_inputs():
+    """Operand pairs for the kernel comparison: every kind of product built."""
+    yield from build_pairs200()
+    members = [trim(a) for a in build_corpus100()]
+    for a in [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS] + members:
+        yield a, a
+    for a in members:
+        if a.num_states <= 8:
+            yield square(a).underlying, a  # the outer step of cube(a)
+    # ε-heavy, several initial states: every filter move, several roots
+    eps_heavy = validate(
+        ("a", "b"), 4, [0, 1, 2], [2, 3],
+        [(0, EPSILON, 1), (0, EPSILON, 2), (1, EPSILON, 2), (1, EPSILON, 3),
+         (2, EPSILON, 3), (0, "a", 0), (1, "b", 1), (2, "a", 3), (3, "b", 0)],
+    )
+    yield eps_heavy, eps_heavy
+    yield eps_heavy, EX_EPS
+    yield EX_FIN2, EX_POLY1  # disjoint languages: the product is empty
+
+
+def test_kernel_matches_reference_kernel():
+    cases = 0
+    for a1, a2 in _kernel_inputs():
+        got = product._intersect(a1, a2)
+        want = reference_product._intersect(a1, a2)
+        assert got.underlying == want.underlying
+        assert got.arity == want.arity
+        assert got.components == want.components
+        assert got.filters == want.filters
+        assert got.derivations == want.derivations
+        cases += 1
+    assert cases > 300
+    assert product._intersect(EX_FIN2, EX_POLY1).underlying.num_states == 0
