@@ -14,7 +14,13 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     runs on an ε-free core of A (see _epsilon_core) where every remaining
     cycle/path/cycle configuration genuinely pumps: it is detected on the
     core's cube extended with marker transitions from (p, q, q)-states to
-    (p, p, q)-states.
+    (p, p, q)-states.  The site search builds only the part of that
+    marked cube between the SCCs of p and of q: the first coordinate stays
+    in SCC(p), the third in SCC(q), and the second runs from one to the
+    other (see _ida_sites), so it runs once per ordered pair of cyclic SCCs.
+    Without exponential growth p and q lie in different SCCs, so
+    classification needs no cube at all when fewer than two SCCs are
+    cyclic.
   * The polynomial degree is the longest chain of such (p, q) sites along a
     path of the core's condensation.
 
@@ -25,9 +31,10 @@ to original transition indices first.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, NamedTuple
 
 from .core import (
     EPSILON,
@@ -48,7 +55,7 @@ from .errors import (
     NotTrim,
 )
 from .graphs import dfs_postorder, reachable, strongly_connected_components
-from .product import ProductAutomaton, _cube, cube, square
+from .product import ProductAutomaton, _square, cube, square
 
 
 class AmbiguityClass(Enum):
@@ -247,7 +254,7 @@ def _lift_path(
     return tuple(out)
 
 
-def test_eda(a: FiniteAutomaton) -> bool:
+def eda_criterion(a: FiniteAutomaton) -> bool:
     """True iff one state carries two distinct cycles sharing a label."""
     _require_analyzable(a)
     return _find_eda_scc(square(a)) is not None
@@ -338,51 +345,182 @@ def _bfs_transitions(arcs, start: int, goal: int, allowed: set[int] | None = Non
     return None
 
 
-def _ida_sites(cb: ProductAutomaton) -> set[tuple[int, int]]:
-    """IDA pairs of a trim, ε-cycle-free automaton, by the marked-cube criterion.
+class _CoreGraph(NamedTuple):
+    """The ε-free core as the site search walks it.
 
-    cb is the automaton's cube.  It is extended with marker edges from every
-    (p, q, q)-projecting state to every (p, p, q)-projecting state (p != q).
-    A pair (p, q) is a site iff one of its marker edges lies inside a
-    strongly connected component that also contains a symbol-labeled cube
-    transition.
+    succ[s] maps each label to s's successors on it, and inner[s] keeps
+    those that lie in s's own SCC (labels without one are dropped).
+    forward/backward are plain successor/predecessor lists, comp the SCC
+    ids of graphs.strongly_connected_components and members their states.
     """
-    fa = cb.underlying
-    sources: dict[tuple[int, int], list[int]] = defaultdict(list)
-    targets: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for s in range(fa.num_states):
-        x, y, z = cb.components[s]
-        if x != y and y == z:
-            sources[(x, y)].append(s)
-        elif x == y and y != z:
-            targets[(x, z)].append(s)
-    full = _adjacency(fa)
-    markers: list[tuple[int, int, tuple[int, int]]] = []
-    for pair, srcs in sources.items():
-        tgts = targets.get(pair)
-        if not tgts:
-            continue
-        for s in srcs:
-            for t in tgts:
-                markers.append((s, t, pair))
-                full[s].append(t)
-    comp, count = strongly_connected_components(fa.num_states, full)
-    has_symbol = [False] * count
-    for tr in fa.transitions:
-        if tr.label != EPSILON and comp[tr.src] == comp[tr.dst]:
-            has_symbol[comp[tr.src]] = True
-    return {
-        pair
-        for s, t, pair in markers
-        if comp[s] == comp[t] and has_symbol[comp[s]]
+
+    n: int
+    succ: list[dict[str, list[int]]]
+    inner: list[dict[str, list[int]]]
+    forward: list[list[int]]
+    backward: list[list[int]]
+    comp: list[int]
+    members: list[list[int]]
+
+
+def _core_graph(core: FiniteAutomaton) -> _CoreGraph:
+    n = core.num_states
+    succ: list[dict[str, list[int]]] = [{} for _ in range(n)]
+    forward: list[list[int]] = [[] for _ in range(n)]
+    backward: list[list[int]] = [[] for _ in range(n)]
+    for src, label, dst in core.transitions:
+        succ[src].setdefault(label, []).append(dst)
+        forward[src].append(dst)
+        backward[dst].append(src)
+    comp, count = strongly_connected_components(n, forward)
+    members: list[list[int]] = [[] for _ in range(count)]
+    for s in range(n):
+        members[comp[s]].append(s)
+    inner = [
+        {
+            label: kept
+            for label, dsts in succ[s].items()
+            if (kept := [d for d in dsts if comp[d] == comp[s]])
+        }
+        for s in range(n)
+    ]
+    return _CoreGraph(n, succ, inner, forward, backward, comp, members)
+
+
+def _region_cube(
+    g: _CoreGraph, mid: set[int], starts: list[int]
+) -> tuple[dict[int, int], list[list[int]], list[tuple[int, int, int]]]:
+    """Forward closure of starts in the core's cube over C₁ × mid × C₃.
+
+    A triple (x, y, z) is coded (x·n + y)·n + z.  Every cube move reads one
+    symbol on all three coordinates (the core is ε-free, so there is no
+    filter coordinate): x and z move inside their own SCCs, C₁ and C₃ of
+    the starts, and y moves inside mid, which must hold every start's y.
+    Returns the node id of each code (nodes numbered in discovery order),
+    the successor nodes of each node, and (node, x, y) for every node
+    (x, y, y) with x != y, where a marker edge starts.
+    """
+    n = g.n
+    nn = n * n
+    inner = g.inner
+    between = {
+        y: {
+            label: kept
+            for label, dsts in g.succ[y].items()
+            if (kept := [d * n for d in dsts if d in mid])
+        }
+        for y in mid
     }
+    ids = {code: node for node, code in enumerate(starts)}
+    codes = list(starts)
+    arcs: list[list[int]] = []
+    marked: list[tuple[int, int, int]] = []
+    for node, code in enumerate(codes):  # codes grows while it is walked
+        x, rest = divmod(code, nn)
+        y, z = divmod(rest, n)
+        if y == z and x != y:
+            marked.append((node, x, y))
+        ys, zs = between[y], inner[z]
+        out: list[int] = []
+        for label, xs in inner[x].items():
+            y2s = ys.get(label)
+            z2s = zs.get(label)
+            if y2s is None or z2s is None:
+                continue
+            for x2 in xs:
+                for y2 in y2s:
+                    base = x2 * nn + y2
+                    for z2 in z2s:
+                        c = base + z2
+                        d = ids.get(c)
+                        if d is None:
+                            d = ids[c] = len(codes)
+                            codes.append(c)
+                        out.append(d)
+        arcs.append(out)
+    return ids, arcs, marked
 
 
-def test_ida(a: FiniteAutomaton) -> bool:
+def _ida_sites(
+    core: FiniteAutomaton, pairs: Iterable[tuple[int, int]], same_scc: bool
+) -> set[tuple[int, int]]:
+    """IDA pairs of an ε-free trim automaton, by the marked-cube criterion.
+
+    The marked cube adds a marker edge from every (p, q, q) to (p, p, q),
+    p != q, and (p, q) is a site iff that marker lies inside a strongly
+    connected component.  The whole cube is never built.  On a cycle
+    through a marker the first coordinate returns to p and the third to q,
+    so they stay in the SCCs C₁ ∋ p and C₃ ∋ q, which are cyclic because
+    every cube move reads a symbol; each middle coordinate follows a marker
+    (so it is reachable from C₁) and precedes the next one (so it reaches
+    C₃).  The search therefore runs once per ordered pair (C₁, C₃) of
+    cyclic SCCs, on the region C₁ × (reach(C₁) ∩ coreach(C₃)) × C₃
+    explored from (p, p, q), with one Tarjan pass over the region and its
+    markers.  Its sites are exactly those of the trimmed marked cube: a
+    cube path (p, p, q) → (p, q, q) reads a word w with p → p, p → q and
+    q → q, so (p, p, q) is reached from an initial triple by u·w and
+    (p, q, q) reaches a final one by w·v, where u leads from an initial
+    state to p and v from q to a final one.  So the exploration starts
+    only from the (p, p, q) of the trimmed cube, which are those whose
+    (p, q) is a state pair of the core's trimmed square: pairs must hold
+    at least these, and then the closure holds only triples of the
+    trimmed cube's accessible part (a deterministic core, whose square is
+    its diagonal, needs no exploration at all).
+
+    Same-SCC pairs (C₁ = C₃) are searched only when same_scc is true;
+    without exponential growth no site joins two states of one SCC.
+    """
+    g = _core_graph(core)
+    n, members = g.n, g.members
+    cyclic = [c for c, states in enumerate(members) if g.inner[states[0]]]
+    if len(cyclic) < (1 if same_scc else 2):
+        return set()
+    down = {c: reachable(members[c], g.forward) for c in cyclic}
+    up = {c: reachable(members[c], g.backward) for c in cyclic}
+    paired = {p * n + q for p, q in pairs if p != q}
+    sites: set[tuple[int, int]] = set()
+    for c1 in cyclic:
+        for c3 in cyclic:
+            if (c3 == c1 and not same_scc) or members[c3][0] not in down[c1]:
+                continue
+            starts = [
+                (p * n + p) * n + q
+                for p in members[c1]
+                for q in members[c3]
+                if p * n + q in paired
+            ]
+            if not starts:
+                continue
+            ids, arcs, marked = _region_cube(g, down[c1] & up[c3], starts)
+            markers = []
+            for node, x, y in marked:
+                target = ids[(x * n + x) * n + y]  # (x, x, y) is a start
+                arcs[node].append(target)
+                markers.append((node, target, (x, y)))
+            comp, _ = strongly_connected_components(len(arcs), arcs)
+            sites.update(pair for s, t, pair in markers if comp[s] == comp[t])
+    return sites
+
+
+def _pumps(g: _CoreGraph, p: int, q: int) -> bool:
+    """True iff the core's cube has a path (p, p, q) → (p, q, q), p != q.
+
+    Every such path lies in the region of _ida_sites for SCC(p), SCC(q).
+    """
+    n = g.n
+    down = reachable(g.members[g.comp[p]], g.forward)
+    if q not in down:
+        return False
+    mid = down & reachable(g.members[g.comp[q]], g.backward)
+    ids, _, _ = _region_cube(g, mid, [(p * n + p) * n + q])
+    return (p * n + q) * n + q in ids
+
+
+def ida_criterion(a: FiniteAutomaton) -> bool:
     """True iff path counts grow without bound (polynomially or worse)."""
     _require_analyzable(a)
     core, _, _, cycle_multiplicity = _epsilon_core(a)
-    return cycle_multiplicity or bool(_ida_sites(cube(core)))
+    return cycle_multiplicity or bool(_ida_sites(core, _square(core).components, True))
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
@@ -395,7 +533,7 @@ def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
     """
     _require_analyzable(a)
     core, _, order, _ = _epsilon_core(a)
-    sites = _ida_sites(cube(core))
+    sites = _ida_sites(core, _square(core).components, True)
     if order is None:
         return frozenset(sites)
     return frozenset((order[p], order[q]) for p, q in sites)
@@ -408,13 +546,14 @@ def _inverse(order: list[int] | None, n: int) -> dict[int, int]:
     return {old: new for new, old in enumerate(order)}
 
 
-def _site_path(cb: ProductAutomaton, arcs, p: int, q: int) -> list[int] | None:
+def _site_path(cb: ProductAutomaton, p: int, q: int) -> list[int] | None:
     """Shortest symbol-consuming cube path backing site (p, q), or None.
 
     The path runs from a (p, p, q)-projecting to a (p, q, q)-projecting
-    state of cb; arcs is cb's indexed adjacency.
+    state of cb.
     """
     fa = cb.underlying
+    arcs = _adjacency(fa, indexed=True)
     starts = [s for s, c in enumerate(cb.components) if c == (p, p, q)]
     goals = {s for s, c in enumerate(cb.components) if c == (p, q, q)}
     if not starts or not goals:
@@ -461,7 +600,7 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     if p not in back or q not in back:
         return None
     cb = cube(core)
-    steps = _site_path(cb, _adjacency(cb.underlying, indexed=True), back[p], back[q])
+    steps = _site_path(cb, back[p], back[q])
     if steps is None:
         return None
 
@@ -538,14 +677,14 @@ def _order_dpa_pairs(w: DPAWitness | None, order: list[int] | None):
 def _growth(
     t: FiniteAutomaton, want_cycles: bool, want_chain: bool
 ) -> tuple[int | None, Witness | None]:
-    """Growth of a trim, ε-cycle-free automaton from one square and one cube.
+    """Growth of a trim, ε-cycle-free automaton from its square and its core.
 
     Returns (None, EDA witness if want_cycles) when growth is exponential,
-    else (degree, DPA witness if want_chain).  When t is its own ε-free
-    core, t's square is the cube's left factor; each product is dropped
-    after its last use.
+    else (degree, DPA witness if want_chain).  The square decides EDA; the
+    sites, all between two distinct SCCs once EDA is excluded, come from
+    the SCC-pair regions of the ε-free core's cube.
     """
-    sq = square(t)
+    sq = _square(t)
     found = _find_eda_scc(sq)
     if found is not None:
         return None, _eda_cycles(t, sq, found) if want_cycles else None
@@ -554,14 +693,15 @@ def _growth(
         raise InternalInvariantViolation(
             "folded run multiplicity without detected exponential growth"
         )
-    if core is t:
-        cb = _cube(t, sq)
-        del sq
-    else:
-        del sq
-        cb = cube(core)
-    sites = _ida_sites(cb)
-    del cb
+    # t's square pairs hold the core's: the core's states are t-states, and
+    # a word leading to two of them, or from both to final states, in the
+    # core does so in t
+    to_core = _inverse(order, core.num_states)
+    pairs = [
+        (to_core[x], to_core[y]) for x, y in sq.components if x in to_core and y in to_core
+    ]
+    del sq
+    sites = _ida_sites(core, pairs, False)
     degree, witness = _dpa_impl(core, sites, want_chain)
     return degree, _order_dpa_pairs(witness, order)
 
@@ -668,7 +808,8 @@ def verify_dpa_witness(
 ) -> bool:
     """Re-derive every site of the chain and check the links between them.
 
-    All sites are searched on one cube of the trimmed automaton's ε-free core.
+    Each site is searched in its SCC-pair region of the cube of the trimmed
+    automaton's ε-free core (see _ida_sites).
     """
     if not w.pairs or (degree is not None and len(w.pairs) != degree):
         return False
@@ -682,13 +823,11 @@ def verify_dpa_witness(
         return False
     core, _, order, _ = _epsilon_core(t)
     to_core = _inverse(order, core.num_states)
-    cb = cube(core)
-    arcs = _adjacency(cb.underlying, indexed=True)
+    g = _core_graph(core)
     for p, q in w.pairs:
         cp, cq = to_core.get(to_t[p]), to_core.get(to_t[q])
-        if p == q or cp is None or cq is None or _site_path(cb, arcs, cp, cq) is None:
+        if p == q or cp is None or cq is None or not _pumps(g, cp, cq):
             return False
-    del cb, arcs
     succ = _adjacency(t)
     for (_, q1), (p2, _) in zip(w.pairs, w.pairs[1:]):
         if to_t[p2] not in reachable([to_t[q1]], succ):
@@ -705,3 +844,9 @@ def verify_witness(a: FiniteAutomaton, w: Witness) -> bool:
     if isinstance(w, DPAWitness):
         return verify_dpa_witness(a, w)
     raise TypeError(f"not a witness: {w!r}")
+
+
+# Deprecated names of eda_criterion and ida_criterion: pytest collects any
+# module-level test_* function imported into a test module.
+test_eda = eda_criterion
+test_ida = ida_criterion

@@ -274,6 +274,11 @@ def square(a: FiniteAutomaton) -> ProductAutomaton:
         raise NotTrim("square requires a trim automaton")
     if has_epsilon_cycle(a):
         raise EpsilonCycleInput("intersection requires ε-cycle-free inputs")
+    return _square(a)
+
+
+def _square(a: FiniteAutomaton) -> ProductAutomaton:
+    """square() without the input checks, for an operand already vetted."""
     product = _intersect(a, a)
     if product.underlying.num_states > 3 * a.num_states * a.num_states:
         raise InternalInvariantViolation("square grew past 3·|Q|² states")
@@ -286,18 +291,12 @@ def cube(a: FiniteAutomaton) -> ProductAutomaton:
     The intermediate product's ε-labeled transitions are ordinary ε-labels,
     so the second intersection re-marks them on the fly like any other ε.
     Because each pairwise product keeps exactly one interleaving per pair of
-    component paths, triple path counts stay multiplicative.
+    component paths, triple path counts stay multiplicative.  The outer
+    step skips the ε-cycle check on the square: every ε-move of a filtered
+    product advances at least one side, so a product of ε-cycle-free
+    operands has no ε-cycle.
     """
-    return _cube(a, square(a))
-
-
-def _cube(a: FiniteAutomaton, sq: ProductAutomaton) -> ProductAutomaton:
-    """cube(a) on top of sq = square(a).
-
-    No ε-cycle check on sq's underlying automaton: every ε-move of a
-    filtered product advances at least one side, so a product of
-    ε-cycle-free operands has no ε-cycle.
-    """
+    sq = square(a)
     outer = _intersect(sq.underlying, a)
     pairs, pair_filters, pair_derivations = sq.components, sq.filters, sq.derivations
     stay = (None, None)

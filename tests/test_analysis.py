@@ -1,15 +1,22 @@
 """Ambiguity classification, degree computation, and witness machinery."""
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.analysis import (
     AmbiguityClass,
+    _epsilon_core,
+    _ida_sites,
     classify,
     dpa,
     dpa_with_witness,
+    eda_criterion,
     eda_witness,
+    ida_criterion,
     ida_pairs,
     ida_witness,
     verify_dpa_witness,
@@ -17,9 +24,7 @@ from artifact.analysis import (
     verify_ida_witness,
     verify_witness,
 )
-from artifact.analysis import test_eda as eda_criterion
-from artifact.analysis import test_ida as ida_criterion
-from artifact.core import EPSILON, validate
+from artifact.core import EPSILON, trim, validate
 from artifact.errors import EpsilonCycleInput, ExponentiallyAmbiguousInput, NotTrim
 from artifact.fixtures import EX_EPS, EX_EXP, EX_FIN2, EX_POLY1, EX_POLY2
 from artifact.oracle import (
@@ -29,7 +34,9 @@ from artifact.oracle import (
     relabel_states,
     reverse,
 )
+from artifact.product import cube, square
 
+import reference_sites
 from conftest import build_corpus100, running_max
 
 F = AmbiguityClass.FINITE
@@ -266,18 +273,92 @@ def _ladder(k):
     return validate(("a",), k, [0], [k - 1], edges)
 
 
-def test_classify_builds_one_square_and_reuses_it_for_the_cube(product_builds):
+def test_classify_builds_one_square_and_no_cube(product_builds):
     assert classify(EX_EXP, want_witness=True).witness is not None
     assert product_builds == ["square"]
     product_builds.clear()
     assert classify(EX_POLY2, want_witness=True).degree == 2
-    assert product_builds == ["square", "outer"]
+    assert product_builds == ["square"]
 
 
 @pytest.mark.parametrize("a", [EX_POLY2, _ladder(5)], ids=["poly2", "ladder5"])
-def test_chain_verification_builds_one_cube(product_builds, a):
+def test_chain_verification_builds_no_product(product_builds, a):
     degree, witness = dpa_with_witness(a)
     assert degree == a.num_states - 1
     product_builds.clear()
     assert verify_dpa_witness(a, witness, degree)
-    assert product_builds == ["square", "outer"]
+    assert product_builds == []
+
+
+def _block_chain(blocks):
+    """3-cycles on 'a' whose entries are chained by 'a'-edges: degree blocks − 1."""
+    edges = []
+    for b in range(blocks):
+        e = 3 * b
+        edges += [(e, "a", e + 1), (e + 1, "a", e + 2), (e + 2, "a", e)]
+        if b + 1 < blocks:
+            edges.append((e, "a", e + 3))
+    return validate(("a",), 3 * blocks, [0], [3 * (blocks - 1)], edges)
+
+
+@pytest.mark.parametrize("blocks", [3, 4])
+def test_block_chain_degree_matches_the_oracle(blocks):
+    a = _block_chain(blocks)
+    degree = blocks - 1
+    assert (classify(a).kind, dpa(a)) == (P, degree)
+    # a^(3m + blocks − 1) has C(m + degree, degree) paths: a polynomial of
+    # exact degree `degree` in m, so its degree-th differences are constant
+    counts = [count_paths(a, ("a",) * (3 * m + degree)) for m in range(degree + 3)]
+    diffs = counts
+    for _ in range(degree):
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    assert len(set(diffs)) == 1 and diffs[0] > 0
+
+
+def test_polynomial_chain_of_300_states_classifies_in_time():
+    a = _block_chain(100)
+    assert (a.num_states, a.num_transitions) == (300, 399)
+    start = time.perf_counter()
+    r = classify(a, want_witness=True)
+    elapsed = time.perf_counter() - start
+    assert (r.kind, r.degree) == (P, 99)
+    assert elapsed < 30.0, f"classify took {elapsed:.1f} s"
+    assert verify_witness(a, r.witness)
+
+
+def _sites_match_the_reference(a, exponential):
+    """The region search finds the full marked cube's sites, given the core's
+    square pairs or any superset of them (here: every pair)."""
+    core = _epsilon_core(trim(a))[0]
+    want = reference_sites._ida_sites(cube(core))
+    every_pair = list(itertools.product(core.states, repeat=2))
+    for pairs in (square(core).components, every_pair):
+        assert _ida_sites(core, pairs, True) == want
+        if not exponential:
+            assert _ida_sites(core, pairs, False) == want
+
+
+def test_region_sites_match_the_full_cube_sites():
+    cases = 0
+    for a in [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS, *build_corpus100()]:
+        _sites_match_the_reference(a, classify(a).kind == E)
+        cases += 1
+    assert cases == 105
+
+
+@st.composite
+def _small_epsilon_nfas(draw):
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(state, st.sampled_from(["a", "b", EPSILON]), state), max_size=10))
+    # ε-edges only run upward, so there is no ε-cycle
+    edges = [(s, x, d) for s, x, d in edges if x != EPSILON or s < d]
+    initial = draw(st.sets(state, min_size=1, max_size=2))
+    final = draw(st.sets(state, min_size=1, max_size=2))
+    return trim(validate(("a", "b"), n, initial, final, edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_small_epsilon_nfas())
+def test_region_sites_match_the_full_cube_sites_on_random_inputs(a):
+    _sites_match_the_reference(a, eda_criterion(a))
