@@ -55,7 +55,7 @@ from .errors import (
     NotTrim,
 )
 from .graphs import dfs_postorder, reachable, strongly_connected_components
-from .product import ProductAutomaton, _square, cube, square
+from .product import ProductAutomaton, _square, cube
 
 
 class AmbiguityClass(Enum):
@@ -257,7 +257,7 @@ def _lift_path(
 def eda_criterion(a: FiniteAutomaton) -> bool:
     """True iff one state carries two distinct cycles sharing a label."""
     _require_analyzable(a)
-    return _find_eda_scc(square(a)) is not None
+    return _find_eda_scc(_square(a)) is not None
 
 
 def _find_eda_scc(sq: ProductAutomaton):
@@ -285,7 +285,7 @@ def _find_eda_scc(sq: ProductAutomaton):
 def eda_witness(a: FiniteAutomaton) -> EDAWitness | None:
     """Extract two distinct same-labeled cycles, or None if there are none."""
     _require_analyzable(a)
-    sq = square(a)
+    sq = _square(a)
     found = _find_eda_scc(sq)
     return None if found is None else _eda_cycles(a, sq, found)
 
@@ -442,9 +442,9 @@ def _region_cube(
 
 
 def _ida_sites(
-    core: FiniteAutomaton, pairs: Iterable[tuple[int, int]], same_scc: bool
+    g: _CoreGraph, pairs: Iterable[tuple[int, int]], same_scc: bool
 ) -> set[tuple[int, int]]:
-    """IDA pairs of an ε-free trim automaton, by the marked-cube criterion.
+    """IDA pairs of an ε-free trim automaton's _core_graph g, by the marked-cube criterion.
 
     The marked cube adds a marker edge from every (p, q, q) to (p, p, q),
     p != q, and (p, q) is a site iff that marker lies inside a strongly
@@ -470,7 +470,6 @@ def _ida_sites(
     Same-SCC pairs (C₁ = C₃) are searched only when same_scc is true;
     without exponential growth no site joins two states of one SCC.
     """
-    g = _core_graph(core)
     n, members = g.n, g.members
     cyclic = [c for c, states in enumerate(members) if g.inner[states[0]]]
     if len(cyclic) < (1 if same_scc else 2):
@@ -520,7 +519,9 @@ def ida_criterion(a: FiniteAutomaton) -> bool:
     """True iff path counts grow without bound (polynomially or worse)."""
     _require_analyzable(a)
     core, _, _, cycle_multiplicity = _epsilon_core(a)
-    return cycle_multiplicity or bool(_ida_sites(core, _square(core).components, True))
+    return cycle_multiplicity or bool(
+        _ida_sites(_core_graph(core), _square(core).components, True)
+    )
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
@@ -533,7 +534,7 @@ def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
     """
     _require_analyzable(a)
     core, _, order, _ = _epsilon_core(a)
-    sites = _ida_sites(core, _square(core).components, True)
+    sites = _ida_sites(_core_graph(core), _square(core).components, True)
     if order is None:
         return frozenset(sites)
     return frozenset((order[p], order[q]) for p, q in sites)
@@ -626,19 +627,20 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
 
 
 def _dpa_impl(
-    a: FiniteAutomaton, pairs: set[tuple[int, int]], want_witness: bool
+    g: _CoreGraph, pairs: set[tuple[int, int]], want_witness: bool
 ) -> tuple[int, DPAWitness | None]:
-    """Longest chain of the sites `pairs` along one condensation path (no EDA allowed)."""
+    """Longest chain of the sites `pairs` along one condensation path of g (no EDA allowed)."""
     if not pairs:
         return 0, None
-    comp, count = strongly_connected_components(a.num_states, _adjacency(a))
+    comp, count = g.comp, len(g.members)
     out: list[list[tuple[int, int, tuple[int, int] | None]]] = [[] for _ in range(count)]
     plain: set[tuple[int, int]] = set()
-    for tr in a.transitions:
-        cu, cv = comp[tr.src], comp[tr.dst]
-        if cu != cv and (cu, cv) not in plain:
-            plain.add((cu, cv))
-            out[cu].append((cv, 0, None))
+    for src, dsts in enumerate(g.forward):
+        for dst in dsts:
+            cu, cv = comp[src], comp[dst]
+            if cu != cv and (cu, cv) not in plain:
+                plain.add((cu, cv))
+                out[cu].append((cv, 0, None))
     for p, q in sorted(pairs):
         cp, cq = comp[p], comp[q]
         if cp <= cq:
@@ -701,8 +703,9 @@ def _growth(
         (to_core[x], to_core[y]) for x, y in sq.components if x in to_core and y in to_core
     ]
     del sq
-    sites = _ida_sites(core, pairs, False)
-    degree, witness = _dpa_impl(core, sites, want_chain)
+    g = _core_graph(core)
+    sites = _ida_sites(g, pairs, False)
+    degree, witness = _dpa_impl(g, sites, want_chain)
     return degree, _order_dpa_pairs(witness, order)
 
 

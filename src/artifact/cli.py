@@ -16,11 +16,11 @@ import sys
 from .analysis import classify, dpa
 from .core import EPSILON, FiniteAutomaton, is_trim, trim
 from .entropy import (
+    _MASS_TOL,
     LN2,
-    _checked_expectation,
+    _sweep,
     brute_entropy,
     entropy_report,
-    entropy_semiring_estimate,
     validate_probabilistic,
 )
 from .errors import (
@@ -35,6 +35,7 @@ from .errors import (
 from .fileformat import parse, serialize
 from .oracle import count_paths, growth_table, random_automaton
 from .product import cube, intersect, square
+from .semiring import map_entropy, map_expectation
 from .weighted import WeightedAutomaton, trim_weighted
 
 
@@ -135,12 +136,13 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         )
         print(json.dumps(rep.as_dict(args.base)))
         return 0
-    validate_probabilistic(wa, tol=args.tol)
     conv = LN2 if args.base == "2" else 1.0
     if args.method == "semiring":
-        s = entropy_semiring_estimate(wa, tol=args.tol)
+        # the mass check and S come from one entropy sweep
+        s = _sweep(wa, map_entropy, args.tol, _MASS_TOL)[1]
         print(f"s {s / conv:.6f}")
     else:
+        validate_probabilistic(wa, tol=args.tol)
         h, residual = brute_entropy(wa, args.max_len)
         print(f"h_brute {h / conv:.6f}")
         print(f"residual_mass {residual:.6f}")
@@ -152,7 +154,7 @@ def _cmd_expected_length(args: argparse.Namespace) -> int:
     if wa is None:
         return 4
     # the mass check and L come from one expectation pass
-    print(f"l {_checked_expectation(wa, args.tol).second:.6f}")
+    print(f"l {_sweep(wa, map_expectation, args.tol, _MASS_TOL)[1]:.6f}")
     return 0
 
 

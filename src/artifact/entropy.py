@@ -26,7 +26,7 @@ from .analysis import AmbiguityClass, _classify_trim
 from .core import EPSILON, has_epsilon_cycle, is_trim
 from .errors import AlphabetTooLarge, EpsilonCycleInput, MassNotOne, NotTrim
 from .oracle import growth_table
-from .semiring import PairWeight, map_entropy, map_expectation, shortest_distance
+from .semiring import _distances, _entropy_value, _mapped, map_entropy, map_expectation
 from .weighted import WeightedAutomaton
 
 LN2 = math.log(2.0)
@@ -45,30 +45,33 @@ def _check_analyzable(wa: WeightedAutomaton) -> None:
         raise EpsilonCycleInput("ε-cycle in the transition graph")
 
 
-def _expectation(wa: WeightedAutomaton, tol: float) -> PairWeight:
-    """(total mass, mass-weighted length) in one shortest-distance pass."""
-    return shortest_distance(map_expectation(wa), tol)
+def _sweep(
+    wa: WeightedAutomaton, mapping, tol: float, mass_tol: float | None = None
+) -> tuple[float, ...]:
+    """The distances of mapping(wa), for an analyzable wa, in one sweep.
 
-
-def _check_mass(mass: float, mass_tol: float) -> None:
-    if abs(mass - 1.0) > mass_tol:
-        raise MassNotOne(mass, mass_tol)
-
-
-def _checked_expectation(
-    wa: WeightedAutomaton, tol: float, mass_tol: float = _MASS_TOL
-) -> PairWeight:
-    """_expectation of an analyzable automaton whose mass is 1 within mass_tol."""
+    Every mapping keeps the probability as its first coordinate, so the
+    first total is the mass; with mass_tol given it must be 1 within it.
+    """
     _check_analyzable(wa)
-    expectation = _expectation(wa, tol)
-    _check_mass(expectation.first, mass_tol)
-    return expectation
+    totals = _distances(mapping(wa), tol)
+    if mass_tol is not None and abs(totals[0] - 1.0) > mass_tol:
+        raise MassNotOne(totals[0], mass_tol)
+    return totals
+
+
+def _map_report(wa: WeightedAutomaton) -> WeightedAutomaton:
+    """w ↦ (w, w·[label ≠ ε], −w·ln w) and v ↦ (v, 0, −v·ln v): mass, L and S."""
+    return _mapped(
+        wa,
+        lambda tr, w: (w, 0.0 if tr.label == EPSILON else w, _entropy_value(w).second),
+        lambda v: (v, 0.0, _entropy_value(v).second),
+    )
 
 
 def total_mass(wa: WeightedAutomaton, *, tol: float = 1e-10) -> float:
     """Σ_x ⟦A⟧(x), the total weight the automaton assigns to all strings."""
-    _check_analyzable(wa)
-    return _expectation(wa, tol).first
+    return _sweep(wa, map_expectation, tol)[0]
 
 
 def validate_probabilistic(
@@ -78,20 +81,18 @@ def validate_probabilistic(
     tol: float = 1e-10,
 ) -> WeightedAutomaton:
     """Check that the automaton defines a probability distribution on strings."""
-    _checked_expectation(wa, tol, mass_tol)
+    _sweep(wa, map_expectation, tol, mass_tol)
     return wa
 
 
 def entropy_semiring_estimate(wa: WeightedAutomaton, *, tol: float = 1e-10) -> float:
     """S(A) = −Σ over accepting paths π of p(π)·ln p(π)."""
-    _check_analyzable(wa)
-    return shortest_distance(map_entropy(wa), tol).second
+    return _sweep(wa, map_entropy, tol)[1]
 
 
 def expected_length(wa: WeightedAutomaton, *, tol: float = 1e-10) -> float:
     """Expected number of symbols of a string drawn from the automaton."""
-    _check_analyzable(wa)
-    return _expectation(wa, tol).second
+    return _sweep(wa, map_expectation, tol)[1]
 
 
 def brute_entropy(wa: WeightedAutomaton, max_len: int) -> tuple[float, float]:
@@ -212,9 +213,10 @@ def entropy_report(
     tol is the largest relative residual accepted from any linear solve
     behind S and L; a larger one raises NonConvergent.
     """
-    expectation = _checked_expectation(wa, tol, mass_tol)
-    s = shortest_distance(map_entropy(wa), tol).second
-    length = expectation.second
+    totals = _sweep(wa, _map_report, tol, mass_tol)
+    # a zero-state automaton has no weight to read k from: its zero
+    # distances come back as the pair (0.0, 0.0)
+    length, s = totals[1:] if len(totals) == 3 else (0.0, 0.0)
     # the skeleton passed _check_analyzable: trim and free of ε-cycles
     ambiguity = _classify_trim(wa.skeleton)
 

@@ -9,16 +9,25 @@ weight mappings feed it:
   * expectation: w ↦ (w, w) on symbol transitions and (w, 0) on ε ones, so a
     path accumulates W·(number of symbols), summing to the expected length.
 
-shortest_distance then ⊕-sums λ ⊗ w[π] ⊗ ρ over all successful paths in
-closed form, λ(I − M)⁻¹ρ with the product rule on the second coordinate:
-one linear solve per strongly connected component, in topological order.
-A component of one state is a scalar division, so an acyclic graph reduces
-to back-substitution.
+The solver, _distances, takes weights (first, acc₁, …, acc_k) with any
+number k of accumulators that share the first coordinate, so one sweep
+yields the mass and several path sums at once.  It ⊕-sums λ ⊗ w[π] ⊗ ρ over
+all successful paths in closed form, λ(I − M)⁻¹ρ with the product rule on
+each accumulator, visiting the strongly connected components in
+topological order.  A component of one state is a scalar division, so an
+acyclic graph reduces to back-substitution.  A larger one solves
+(I − A)[x₁, y] = [r₁, 1] once for the first coordinate x₁ and a vector y
+that proves the cycle mass below 1, then one single-column system per
+accumulator.  The accumulator columns are not stacked into one solve: a
+multi-column right-hand side may round a column differently from the same
+column solved alone, and solved alone every accumulator is bit-identical
+to shortest_distance over the pair mapping that carries only it.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +53,7 @@ def _entropy_value(x: float) -> PairWeight:
 
 
 def _mapped(wa: WeightedAutomaton, on_transition, on_end) -> WeightedAutomaton:
-    """wa with its weights sent to pair weights; rejects non-positive weights."""
+    """wa with its weights sent to tuple weights; rejects non-positive weights."""
     weights = []
     for tr, w in zip(wa.skeleton.transitions, wa.weights):
         if w <= 0.0:
@@ -76,24 +85,28 @@ def map_expectation(wa: WeightedAutomaton) -> WeightedAutomaton:
 
 
 def _solve_block(
-    states: list[int], arcs: list, d1: list[float], d2: list[float], tol: float
+    states: list[int], arcs: list, d: list[list[float]], tol: float
 ) -> None:
-    """Replace the inflow d1, d2 on one SCC of several states by its distances.
+    """Replace the inflow d on one SCC of several states by its distances.
 
-    With A and B the first and second coordinates of the internal arcs,
-    x₁ = (I − A)⁻¹r₁ and x₂ = (I − A)⁻¹(r₂ + B·x₁).  Raises NonConvergent
-    unless ρ(A) < 1 is proven and both solves leave a residual of at most
-    tol relative to their right-hand side.
+    With A the first coordinates of the internal arcs and Bⱼ their
+    accumulator j, x₁ = (I − A)⁻¹r₁ and xⱼ = (I − A)⁻¹(rⱼ + Bⱼ·x₁), one
+    solve per accumulator.  Raises NonConvergent unless ρ(A) < 1 is proven
+    and every solve leaves a residual of at most tol relative to its
+    right-hand side.
     """
     k = len(states)
     at = {q: i for i, q in enumerate(states)}
-    a = np.zeros((k, k))
-    b = np.zeros((k, k))
-    for p, q, (w1, w2) in arcs:
-        a[at[q], at[p]] += w1
-        b[at[q], at[p]] += w2
+
+    def coordinate(j: int) -> np.ndarray:
+        mat = np.zeros((k, k))
+        for p, q, w in arcs:
+            mat[at[q], at[p]] += w[j]
+        return mat
+
+    a = coordinate(0)
     m = np.eye(k) - a
-    r1 = np.array([d1[q] for q in states])
+    r1 = np.array([d[0][q] for q in states])
     try:
         x1, y = np.linalg.solve(m, np.column_stack((r1, np.ones(k)))).T
     except np.linalg.LinAlgError:
@@ -104,9 +117,11 @@ def _solve_block(
     ay = a @ y
     if not (np.all(y > 0.0) and np.all(y - ay > (k + 2) * _EPS * (y + ay))):
         raise NonConvergent(f"cycle mass ≥ 1 in an SCC of {k} states")
-    r2 = np.array([d2[q] for q in states]) + b @ x1
-    x2 = np.linalg.solve(m, r2)
-    for x, r in ((x1, r1), (x2, r2)):
+    columns = [(x1, r1)]
+    for j in range(1, len(d)):
+        r = np.array([d[j][q] for q in states]) + coordinate(j) @ x1
+        columns.append((np.linalg.solve(m, r), r))
+    for x, r in columns:
         residual = float(np.max(np.abs(m @ x - r)))
         bound = tol * float(np.max(np.abs(r)))
         if residual > bound:
@@ -114,33 +129,27 @@ def _solve_block(
                 f"solve residual {residual:g} exceeds tol·‖r‖∞ = {bound:g}"
                 f" in an SCC of {k} states"
             )
-    for i, q in enumerate(states):
-        d1[q] = float(x1[i])
-        d2[q] = float(x2[i])
+    for dj, (x, _) in zip(d, columns):
+        for i, q in enumerate(states):
+            dj[q] = float(x[i])
 
 
-def shortest_distance(wa: WeightedAutomaton, tol: float = 1e-10) -> PairWeight:
-    """⊕ over all successful paths π of λ[p[π]] ⊗ w[π] ⊗ ρ[n[π]], solved exactly.
+def _distances(wa: WeightedAutomaton, tol: float) -> tuple[float, ...]:
+    """⊕ over all successful paths of λ ⊗ w[π] ⊗ ρ, for (first, acc₁, …, acc_k) weights.
 
-    The SCCs of the transition graph are visited in topological order; each
-    receives the mass flowing in from λ and from earlier SCCs, then solves
-    for its own distances.  A cycle mass of 1 or more (spectral radius
-    ρ(A) ≥ 1 of an SCC's first coordinates) raises NonConvergent, as does a
-    block solve whose residual ‖(I − A)x − r‖∞ exceeds tol·‖r‖∞.
+    k is read from the weight tuples; an automaton without any weight has
+    no path, and its distance is the pair zero (0.0, 0.0).  The SCCs of the
+    transition graph are visited in topological order; each receives the
+    mass flowing in from λ and from earlier SCCs, then solves for its own
+    distances.  A cycle mass of 1 or more (spectral radius ρ(A) ≥ 1 of an
+    SCC's first coordinates) raises NonConvergent, as does a block solve
+    whose residual ‖(I − A)x − r‖∞ exceeds tol·‖r‖∞.  Weights on ε-cycles
+    are not checked: the caller has ruled them out.
     """
     skel = wa.skeleton
     n = skel.num_states
-    if n == 0:
-        return PairWeight(0.0, 0.0)
-
-    eps_succ: list[list[int]] = [[] for _ in range(n)]
-    for tr in skel.transitions:
-        if tr.label == EPSILON:
-            eps_succ[tr.src].append(tr.dst)
-    ecomp, _ = strongly_connected_components(n, eps_succ)
-    for tr, w in zip(skel.transitions, wa.weights):
-        if tr.label == EPSILON and ecomp[tr.src] == ecomp[tr.dst] and w != (1.0, 0.0):
-            raise EpsilonCycleInput("ε-cycle with non-identity weight")
+    values = chain(wa.weights, (v for _, v in wa.lam), (v for _, v in wa.rho))
+    width = len(next(values, (0.0, 0.0)))
 
     succ: list[list[int]] = [[] for _ in range(n)]
     for tr in skel.transitions:
@@ -155,27 +164,57 @@ def shortest_distance(wa: WeightedAutomaton, tol: float = 1e-10) -> PairWeight:
         c = comp[tr.dst]
         (internal if comp[tr.src] == c else inflow)[c].append((tr.src, tr.dst, w))
 
-    d1 = [0.0] * n
-    d2 = [0.0] * n
-    for q, (v1, v2) in wa.lam:
-        d1[q], d2[q] = v1, v2
+    # d[0] holds the first coordinate of every state's distance, d[j] its
+    # accumulator j
+    d = [[0.0] * n for _ in range(width)]
+    accs = range(1, width)
+    for q, v in wa.lam:
+        for dj, vj in zip(d, v):
+            dj[q] = vj
+    d1 = d[0]
     # component ids are reverse topological: every arc between components
     # runs from a higher id to a lower one
     for c in range(count - 1, -1, -1):
-        for p, q, (w1, w2) in inflow[c]:
-            d1[q], d2[q] = d1[q] + d1[p] * w1, d2[q] + (d1[p] * w2 + w1 * d2[p])
+        for p, q, w in inflow[c]:
+            w1, x = w[0], d1[p]
+            for j in accs:
+                d[j][q] += x * w[j] + w1 * d[j][p]
+            d1[q] += x * w1
         if len(members[c]) > 1:
-            _solve_block(members[c], internal[c], d1, d2, tol)
+            _solve_block(members[c], internal[c], d, tol)
         elif internal[c]:
             (q,) = members[c]
-            a = sum(w1 for _, _, (w1, _) in internal[c])
+            a = sum(w[0] for _, _, w in internal[c])
             if not a < 1.0:
                 raise NonConvergent(f"self-loop mass {a:g} at state {q} is not below 1")
-            b = sum(w2 for _, _, (_, w2) in internal[c])
             d1[q] /= 1.0 - a
-            d2[q] = (d2[q] + b * d1[q]) / (1.0 - a)
+            for j in accs:
+                b = sum(w[j] for _, _, w in internal[c])
+                d[j][q] = (d[j][q] + b * d1[q]) / (1.0 - a)
 
-    total1 = total2 = 0.0
-    for q, (v1, v2) in wa.rho:
-        total1, total2 = total1 + d1[q] * v1, total2 + (d1[q] * v2 + v1 * d2[q])
-    return PairWeight(total1, total2)
+    totals = [0.0] * width
+    for q, v in wa.rho:
+        v1, x = v[0], d1[q]
+        for j in accs:
+            totals[j] += x * v[j] + v1 * d[j][q]
+        totals[0] += x * v1
+    return tuple(totals)
+
+
+def shortest_distance(wa: WeightedAutomaton, tol: float = 1e-10) -> PairWeight:
+    """⊕ over all successful paths π of λ[p[π]] ⊗ w[π] ⊗ ρ[n[π]], solved exactly.
+
+    Rejects an ε-cycle whose weights are not all the semiring one, then
+    solves as _distances does: NonConvergent when a cycle mass reaches 1 or
+    a block solve's residual ‖(I − A)x − r‖∞ exceeds tol·‖r‖∞.
+    """
+    skel = wa.skeleton
+    eps_succ: list[list[int]] = [[] for _ in range(skel.num_states)]
+    for tr in skel.transitions:
+        if tr.label == EPSILON:
+            eps_succ[tr.src].append(tr.dst)
+    ecomp, _ = strongly_connected_components(skel.num_states, eps_succ)
+    for tr, w in zip(skel.transitions, wa.weights):
+        if tr.label == EPSILON and ecomp[tr.src] == ecomp[tr.dst] and w != (1.0, 0.0):
+            raise EpsilonCycleInput("ε-cycle with non-identity weight")
+    return PairWeight(*_distances(wa, tol))

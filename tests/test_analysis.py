@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from artifact.analysis import (
     AmbiguityClass,
+    _core_graph,
     _epsilon_core,
     _ida_sites,
     classify,
@@ -268,6 +269,37 @@ def product_builds(monkeypatch):
     return builds
 
 
+@pytest.mark.parametrize("check", [eda_criterion, eda_witness])
+def test_eda_checks_validate_their_input_once(monkeypatch, check):
+    from artifact import analysis, product
+
+    calls = []
+    for module in (analysis, product):
+        for name in ("has_epsilon_cycle", "is_trim"):
+            fn = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda a, fn=fn, name=name: calls.append(name) or fn(a)
+            )
+    assert not check(EX_POLY2)
+    assert sorted(calls) == ["has_epsilon_cycle", "is_trim"]
+
+
+def test_classify_runs_one_tarjan_pass_over_the_core(monkeypatch):
+    from artifact import analysis
+
+    passes = []
+    tarjan = analysis.strongly_connected_components
+
+    def counting(n, succ):
+        passes.append(n)
+        return tarjan(n, succ)
+
+    monkeypatch.setattr(analysis, "strongly_connected_components", counting)
+    assert classify(EX_POLY2, want_witness=True).degree == 2
+    # the square (9 states), the core (3), then the three SCC-pair regions
+    assert passes == [9, 3, 2, 3, 2]
+
+
 def _ladder(k):
     edges = [(i, "a", i) for i in range(k)] + [(i, "a", i + 1) for i in range(k - 1)]
     return validate(("a",), k, [0], [k - 1], edges)
@@ -332,10 +364,11 @@ def _sites_match_the_reference(a, exponential):
     core = _epsilon_core(trim(a))[0]
     want = reference_sites._ida_sites(cube(core))
     every_pair = list(itertools.product(core.states, repeat=2))
+    g = _core_graph(core)
     for pairs in (square(core).components, every_pair):
-        assert _ida_sites(core, pairs, True) == want
+        assert _ida_sites(g, pairs, True) == want
         if not exponential:
-            assert _ida_sites(core, pairs, False) == want
+            assert _ida_sites(g, pairs, False) == want
 
 
 def test_region_sites_match_the_full_cube_sites():

@@ -110,19 +110,23 @@ def test_expected_length_output(write, capsys):
     assert capsys.readouterr().out == "l 1.000000\n"
 
 
-def test_expected_length_solves_the_expectation_system_once(write, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, out", [("entropy", "s 1.386294\n"), ("expected-length", "l 1.000000\n")]
+)
+def test_probability_commands_run_one_weighted_sweep(write, capsys, monkeypatch, command, out):
+    # the mass check and the printed value share one solver sweep
     from artifact import entropy
 
     calls = []
-    solve = entropy.shortest_distance
+    sweep = entropy._distances
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(entropy, "shortest_distance", counting)
-    assert main(["expected-length", write("geo.fa", EX_GEO)]) == 0
-    assert capsys.readouterr().out == "l 1.000000\n"
+    monkeypatch.setattr(entropy, "_distances", counting)
+    assert main([command, write("geo.fa", EX_GEO)]) == 0
+    assert capsys.readouterr().out == out
     assert len(calls) == 1
 
 

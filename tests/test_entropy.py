@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from artifact.analysis import AmbiguityClass
+from artifact.cli import main
 from artifact.entropy import (
     brute_entropy,
     entropy_report,
@@ -14,6 +16,7 @@ from artifact.entropy import (
     validate_probabilistic,
 )
 from artifact.errors import MassNotOne
+from artifact.fileformat import serialize
 from artifact.fixtures import (
     EX_FIN2U,
     EX_GEO,
@@ -21,6 +24,7 @@ from artifact.fixtures import (
     EX_POLY2P,
     EX_UNIF,
 )
+from artifact.semiring import map_entropy, map_expectation, shortest_distance
 from artifact.weighted import validate_weighted
 
 LN2 = math.log(2)
@@ -160,3 +164,63 @@ def test_400_state_ring_matches_its_closed_form():
     assert abs(r.s - s) <= 1e-12
     assert abs(r.l - length) <= 1e-12
     assert r.bound_low - 1e-12 <= s <= r.bound_high + 1e-12
+
+
+def _ring(n):
+    """An a/b cycle through n states that stops with 0.1 at each: one SCC, mass 1."""
+    edges = [(q, "ab"[q % 2], (q + 1) % n, 0.9) for q in range(n)]
+    return validate_weighted(("a", "b"), n, {0: 1.0}, {q: 0.1 for q in range(n)}, edges)
+
+
+@pytest.fixture
+def sweep_work(monkeypatch):
+    """SCC passes of the semiring module and numpy.linalg.solve calls, counted."""
+    from artifact import semiring
+
+    work = {"scc": 0, "solve": 0}
+    tarjan, solve = semiring.strongly_connected_components, np.linalg.solve
+
+    def counting_tarjan(*args):
+        work["scc"] += 1
+        return tarjan(*args)
+
+    def counting_solve(*args):
+        work["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(semiring, "strongly_connected_components", counting_tarjan)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return work
+
+
+def test_report_is_one_sweep_with_one_solve_per_column(sweep_work):
+    # [x₁, y] in one solve, then one solve each for L and S
+    entropy_report(_ring(5))
+    assert sweep_work == {"scc": 1, "solve": 3}
+
+
+def test_entropy_command_is_one_sweep_with_one_solve_per_column(sweep_work, tmp_path, capsys):
+    path = tmp_path / "ring.fa"
+    path.write_text(serialize(_ring(5)))
+    assert main(["entropy", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("s ")
+    assert sweep_work == {"scc": 1, "solve": 2}
+
+
+@pytest.mark.parametrize(
+    "wa",
+    [EX_UNIF, EX_GEO, EX_FIN2U, EX_POLY1P, EX_POLY2P, _ring(2), _ring(7)],
+    ids=["unif", "geo", "fin2u", "poly1p", "poly2p", "ring2", "ring7"],
+)
+def test_report_matches_the_pair_distances_exactly(wa):
+    r = entropy_report(wa)
+    assert r.s == shortest_distance(map_entropy(wa)).second
+    assert r.l == shortest_distance(map_expectation(wa)).second
+
+
+def test_report_on_an_automaton_without_states_is_all_zero():
+    empty = validate_weighted(("a",), 0, {}, {}, [])
+    with pytest.raises(MassNotOne):
+        entropy_report(empty)
+    r = entropy_report(empty, mass_tol=2.0)
+    assert (r.s, r.l, r.ambiguity) == (0.0, 0.0, AmbiguityClass.FINITE)
