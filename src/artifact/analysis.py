@@ -20,13 +20,18 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     other (see _ida_sites), so it runs once per ordered pair of cyclic SCCs.
     Without exponential growth p and q lie in different SCCs, so
     classification needs no cube at all when fewer than two SCCs are
-    cyclic.
+    cyclic.  The same region walk, started from one (p, p, q), is the
+    point query behind witness verification and ida_witness (see
+    _site_path); the full cube is never built.
   * The polynomial degree is the longest chain of such (p, q) sites along a
     path of the core's condensation.
 
 Every positive answer can be backed by a witness that re-validates against
 the original automaton by direct path checks; core paths are expanded back
-to original transition indices first.
+to original transition indices first.  An IDA witness is a shortest cube
+path (p, p, q) → (p, q, q); among several, the first one met by the
+breadth-first region walk, whose successors go by label, then x′, y′, z′,
+each in the order of the core's transitions.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .errors import (
     NotTrim,
 )
 from .graphs import dfs_postorder, reachable, strongly_connected_components
-from .product import ProductAutomaton, _square, cube
+from .product import ProductAutomaton, _square
 
 
 class AmbiguityClass(Enum):
@@ -352,6 +357,8 @@ class _CoreGraph(NamedTuple):
     those that lie in s's own SCC (labels without one are dropped).
     forward/backward are plain successor/predecessor lists, comp the SCC
     ids of graphs.strongly_connected_components and members their states.
+    index maps each core transition to its index; the core is ε-free, so
+    (src, label, dst) names one transition.
     """
 
     n: int
@@ -361,6 +368,7 @@ class _CoreGraph(NamedTuple):
     backward: list[list[int]]
     comp: list[int]
     members: list[list[int]]
+    index: dict[Transition, int]
 
 
 def _core_graph(core: FiniteAutomaton) -> _CoreGraph:
@@ -384,21 +392,30 @@ def _core_graph(core: FiniteAutomaton) -> _CoreGraph:
         }
         for s in range(n)
     ]
-    return _CoreGraph(n, succ, inner, forward, backward, comp, members)
+    index = dict(zip(core.transitions, range(core.num_transitions)))
+    return _CoreGraph(n, succ, inner, forward, backward, comp, members, index)
 
 
 def _region_cube(
     g: _CoreGraph, mid: set[int], starts: list[int]
-) -> tuple[dict[int, int], list[list[int]], list[tuple[int, int, int]]]:
-    """Forward closure of starts in the core's cube over C₁ × mid × C₃.
+) -> tuple[
+    dict[int, int],
+    list[list[int]],
+    list[tuple[int, int, int]],
+    list[tuple[int, str] | None],
+]:
+    """Breadth-first closure of starts in the core's cube over C₁ × mid × C₃.
 
     A triple (x, y, z) is coded (x·n + y)·n + z.  Every cube move reads one
     symbol on all three coordinates (the core is ε-free, so there is no
     filter coordinate): x and z move inside their own SCCs, C₁ and C₃ of
     the starts, and y moves inside mid, which must hold every start's y.
-    Returns the node id of each code (nodes numbered in discovery order),
-    the successor nodes of each node, and (node, x, y) for every node
-    (x, y, y) with x != y, where a marker edge starts.
+    Nodes are numbered in discovery order; a node's successors are walked
+    by label, then x′, y′, z′, each in the order of the core's transitions.
+    Returns the node id of each code, the successor nodes of each node,
+    (node, x, y) for every node (x, y, y) with x != y, where a marker edge
+    starts, and for each node the code and label of the move that
+    discovered it (None for the starts): a breadth-first tree.
     """
     n = g.n
     nn = n * n
@@ -413,6 +430,7 @@ def _region_cube(
     }
     ids = {code: node for node, code in enumerate(starts)}
     codes = list(starts)
+    parents: list[tuple[int, str] | None] = [None] * len(starts)
     arcs: list[list[int]] = []
     marked: list[tuple[int, int, int]] = []
     for node, code in enumerate(codes):  # codes grows while it is walked
@@ -436,9 +454,10 @@ def _region_cube(
                         if d is None:
                             d = ids[c] = len(codes)
                             codes.append(c)
+                            parents.append((code, label))
                         out.append(d)
         arcs.append(out)
-    return ids, arcs, marked
+    return ids, arcs, marked, parents
 
 
 def _ida_sites(
@@ -465,7 +484,9 @@ def _ida_sites(
     (p, q) is a state pair of the core's trimmed square: pairs must hold
     at least these, and then the closure holds only triples of the
     trimmed cube's accessible part (a deterministic core, whose square is
-    its diagonal, needs no exploration at all).
+    its diagonal, needs no exploration at all).  The same argument puts
+    every path (p, p, q) → (p, q, q) in the trimmed cube and in the region,
+    which is why _site_path finds the witness paths there.
 
     Same-SCC pairs (C₁ = C₃) are searched only when same_scc is true;
     without exponential growth no site joins two states of one SCC.
@@ -490,7 +511,7 @@ def _ida_sites(
             ]
             if not starts:
                 continue
-            ids, arcs, marked = _region_cube(g, down[c1] & up[c3], starts)
+            ids, arcs, marked, _ = _region_cube(g, down[c1] & up[c3], starts)
             markers = []
             for node, x, y in marked:
                 target = ids[(x * n + x) * n + y]  # (x, x, y) is a start
@@ -499,20 +520,6 @@ def _ida_sites(
             comp, _ = strongly_connected_components(len(arcs), arcs)
             sites.update(pair for s, t, pair in markers if comp[s] == comp[t])
     return sites
-
-
-def _pumps(g: _CoreGraph, p: int, q: int) -> bool:
-    """True iff the core's cube has a path (p, p, q) → (p, q, q), p != q.
-
-    Every such path lies in the region of _ida_sites for SCC(p), SCC(q).
-    """
-    n = g.n
-    down = reachable(g.members[g.comp[p]], g.forward)
-    if q not in down:
-        return False
-    mid = down & reachable(g.members[g.comp[q]], g.backward)
-    ids, _, _ = _region_cube(g, mid, [(p * n + p) * n + q])
-    return (p * n + q) * n + q in ids
 
 
 def ida_criterion(a: FiniteAutomaton) -> bool:
@@ -547,51 +554,44 @@ def _inverse(order: list[int] | None, n: int) -> dict[int, int]:
     return {old: new for new, old in enumerate(order)}
 
 
-def _site_path(cb: ProductAutomaton, p: int, q: int) -> list[int] | None:
-    """Shortest symbol-consuming cube path backing site (p, q), or None.
+def _site_path(g: _CoreGraph, p: int, q: int) -> list[tuple[int, int, int]] | None:
+    """Shortest path (p, p, q) → (p, q, q), p != q, in the cube of g's core, or None.
 
-    The path runs from a (p, p, q)-projecting to a (p, q, q)-projecting
-    state of cb.
+    Every such path lies in the region of _ida_sites for SCC(p), SCC(q), so
+    the path is read off the breadth-first tree that _region_cube grows
+    there from (p, p, q).  Each step is given as the three core transition
+    indices (x, y, z) that it moves along.
     """
-    fa = cb.underlying
-    arcs = _adjacency(fa, indexed=True)
-    starts = [s for s, c in enumerate(cb.components) if c == (p, p, q)]
-    goals = {s for s, c in enumerate(cb.components) if c == (p, q, q)}
-    if not starts or not goals:
+    n = g.n
+    down = reachable(g.members[g.comp[p]], g.forward)
+    if q not in down:
         return None
-    parents: dict[tuple[int, bool], tuple[tuple[int, bool], int]] = {}
-    queue = deque((s, False) for s in starts)
-    seen = set(queue)
-    hit: tuple[int, bool] | None = None
-    while queue and hit is None:
-        node, flag = queue.popleft()
-        for dst, idx in arcs[node]:
-            nxt = (dst, flag or fa.transitions[idx].label != EPSILON)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parents[nxt] = ((node, flag), idx)
-            if nxt[1] and dst in goals:
-                hit = nxt
-                break
-            queue.append(nxt)
-    if hit is None:
+    mid = down & reachable(g.members[g.comp[q]], g.backward)
+    ids, _, _, parents = _region_cube(g, mid, [(p * n + p) * n + q])
+    code = (p * n + q) * n + q
+    if code not in ids:
         return None
-    steps: list[int] = []
-    key = hit
-    while key in parents:
-        key, idx = parents[key]
-        steps.append(idx)
+    index = g.index
+    steps: list[tuple[int, int, int]] = []
+    x, y, z = p, q, q
+    while (link := parents[ids[code]]) is not None:
+        code, label = link
+        x0, y0, z0 = code // (n * n), code // n % n, code % n
+        steps.append((index[x0, label, x], index[y0, label, y], index[z0, label, z]))
+        x, y, z = x0, y0, z0
     steps.reverse()
     return steps
 
 
 def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
-    """Search the core's cube for the three same-labeled paths backing a site.
+    """The three same-labeled paths p → p, p → q, q → q backing a site.
 
-    Returns None when no symbol-consuming cube path connects a
-    (p, p, q)-projecting state to a (p, q, q)-projecting one, i.e. when the
-    pair pumps nothing.
+    They are the projections of a shortest cube path (p, p, q) → (p, q, q)
+    of the ε-free core (see _site_path), lifted back to a's transitions.
+    Among several shortest paths the first one breadth-first search meets
+    is taken, with each triple's successors in the order of _region_cube.
+    Returns None when there is no such path, i.e. when the pair pumps
+    nothing.
     """
     _require_analyzable(a)
     if p == q or not (0 <= p < a.num_states and 0 <= q < a.num_states):
@@ -600,26 +600,17 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     back = _inverse(order, core.num_states)
     if p not in back or q not in back:
         return None
-    cb = cube(core)
-    steps = _site_path(cb, back[p], back[q])
+    steps = _site_path(_core_graph(core), back[p], back[q])
     if steps is None:
         return None
-
-    def project(coord: int) -> tuple[int, ...]:
-        core_path = tuple(
-            cb.derivations[i][coord]
-            for i in steps
-            if cb.derivations[i][coord] is not None
-        )
-        return _lift_path(lifts, core_path)
-
+    path_pp, path_pq, path_qq = (_lift_path(lifts, leg) for leg in zip(*steps))
     witness = IDAWitness(
         p=p,
         q=q,
-        label=path_label(a, project(1)),
-        path_pp=project(0),
-        path_pq=project(1),
-        path_qq=project(2),
+        label=path_label(a, path_pq),
+        path_pp=path_pp,
+        path_pq=path_pq,
+        path_qq=path_qq,
     )
     if not verify_ida_witness(a, witness):
         raise InternalInvariantViolation("extracted site paths failed validation")
@@ -829,7 +820,7 @@ def verify_dpa_witness(
     g = _core_graph(core)
     for p, q in w.pairs:
         cp, cq = to_core.get(to_t[p]), to_core.get(to_t[q])
-        if p == q or cp is None or cq is None or not _pumps(g, cp, cq):
+        if p == q or cp is None or cq is None or _site_path(g, cp, cq) is None:
             return False
     succ = _adjacency(t)
     for (_, q1), (p2, _) in zip(w.pairs, w.pairs[1:]):

@@ -18,8 +18,8 @@ from .core import EPSILON, FiniteAutomaton, is_trim, trim
 from .entropy import (
     _MASS_TOL,
     LN2,
+    _brute_entropy,
     _sweep,
-    brute_entropy,
     entropy_report,
     validate_probabilistic,
 )
@@ -143,7 +143,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         print(f"s {s / conv:.6f}")
     else:
         validate_probabilistic(wa, tol=args.tol)
-        h, residual = brute_entropy(wa, args.max_len)
+        h, residual = _brute_entropy(wa, args.max_len)
         print(f"h_brute {h / conv:.6f}")
         print(f"residual_mass {residual:.6f}")
     return 0

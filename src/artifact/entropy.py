@@ -103,6 +103,11 @@ def brute_entropy(wa: WeightedAutomaton, max_len: int) -> tuple[float, float]:
     whose distribution has died out.
     """
     _check_analyzable(wa)
+    return _brute_entropy(wa, max_len)
+
+
+def _brute_entropy(wa: WeightedAutomaton, max_len: int) -> tuple[float, float]:
+    """brute_entropy() of a wa that has passed _check_analyzable."""
     skel = wa.skeleton
     k = len(skel.alphabet)
     if k > 4:
@@ -244,7 +249,7 @@ def entropy_report(
 
     h_brute = residual = None
     if want_brute:
-        h_brute, residual = brute_entropy(wa, brute_max_len)
+        h_brute, residual = _brute_entropy(wa, brute_max_len)
 
     return EntropyReport(
         s=s,

@@ -322,6 +322,12 @@ def test_chain_verification_builds_no_product(product_builds, a):
     assert product_builds == []
 
 
+@pytest.mark.parametrize("a", [EX_POLY2, EX_EPS], ids=["poly2", "eps"])
+def test_ida_witness_builds_no_product(product_builds, a):
+    assert ida_witness(a, 0, 1) is not None
+    assert product_builds == []
+
+
 def _block_chain(blocks):
     """3-cycles on 'a' whose entries are chained by 'a'-edges: degree blocks − 1."""
     edges = []
@@ -356,6 +362,15 @@ def test_polynomial_chain_of_300_states_classifies_in_time():
     assert (r.kind, r.degree) == (P, 99)
     assert elapsed < 30.0, f"classify took {elapsed:.1f} s"
     assert verify_witness(a, r.witness)
+
+
+def test_ida_witness_on_a_240_state_chain_runs_in_time():
+    a = _block_chain(80)
+    start = time.perf_counter()
+    w = ida_witness(a, 0, 9)
+    elapsed = time.perf_counter() - start
+    assert w is not None and verify_ida_witness(a, w)
+    assert elapsed < 2.0, f"ida_witness took {elapsed:.1f} s"
 
 
 def _sites_match_the_reference(a, exponential):
@@ -395,3 +410,40 @@ def _small_epsilon_nfas(draw):
 @given(a=_small_epsilon_nfas())
 def test_region_sites_match_the_full_cube_sites_on_random_inputs(a):
     _sites_match_the_reference(a, eda_criterion(a))
+
+
+def _witnesses_match_the_reference(a, identical):
+    """ida_witness answers every state pair as the full-cube search does:
+    a witness for the same pairs, each verified and of the same length;
+    with identical set, the very same witnesses.  Returns the pair count."""
+    pairs = list(itertools.product(a.states, repeat=2))
+    for p, q in pairs:
+        want = reference_sites.ida_witness(a, p, q)
+        got = ida_witness(a, p, q)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got.label) == len(want.label)
+            assert verify_ida_witness(a, got)
+            if identical:
+                assert got == want
+    return len(pairs)
+
+
+def test_ida_witnesses_match_the_full_cube_search():
+    fixtures = [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS]
+    checked = sum(_witnesses_match_the_reference(a, True) for a in fixtures)
+    checked += sum(_witnesses_match_the_reference(a, False) for a in build_corpus100())
+    assert checked == 1699
+
+
+@pytest.mark.parametrize(
+    "a", [_ladder(16), _block_chain(3), _block_chain(4)], ids=["ladder16", "chain3", "chain4"]
+)
+def test_ida_witnesses_on_ladders_and_chains_are_the_full_cube_ones(a):
+    _witnesses_match_the_reference(a, True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_small_epsilon_nfas())
+def test_ida_witnesses_match_the_full_cube_search_on_random_inputs(a):
+    _witnesses_match_the_reference(a, False)

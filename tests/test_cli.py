@@ -139,6 +139,25 @@ def test_expected_length_solves_the_expectation_system_once(write, capsys, monke
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["entropy", "--method", "brute"], ["entropy", "--report", "--method", "brute"], None],
+    ids=["brute", "report-brute", "entropy_report"],
+)
+def test_brute_entropy_checks_the_automaton_once(write, capsys, monkeypatch, args):
+    from artifact import entropy
+
+    calls = []
+    check = entropy.is_trim
+    monkeypatch.setattr(entropy, "is_trim", lambda a: calls.append(1) or check(a))
+    if args is None:
+        assert entropy.entropy_report(EX_GEO, want_brute=True).h_brute is not None
+    else:
+        assert main([*args, write("geo.fa", EX_GEO)]) == 0
+        assert capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_info_summarizes_structure(write, capsys):
     assert main(["info", write("p2.fa", EX_POLY2)]) == 0
     out = capsys.readouterr().out
