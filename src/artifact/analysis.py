@@ -11,18 +11,20 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     cycles joined by a same-labeled path that cannot be slid into one
     another.  Paths that differ only in how an ε-run is split around a
     symbol pump a single path per string, not a growing family, so the test
-    runs on an ε-free core of A (see _epsilon_core) where every remaining
-    cycle/path/cycle configuration genuinely pumps: it is detected on the
-    core's cube extended with marker transitions from (p, q, q)-states to
-    (p, p, q)-states.  The site search builds only the part of that
-    marked cube between the SCCs of p and of q: the first coordinate stays
-    in SCC(p), the third in SCC(q), and the second runs from one to the
-    other (see _ida_sites), so it runs once per ordered pair of cyclic SCCs.
-    Without exponential growth p and q lie in different SCCs, so
-    classification needs no cube at all when fewer than two SCCs are
-    cyclic.  The same region walk, started from one (p, p, q), is the
-    point query behind witness verification and ida_witness (see
-    _site_path); the full cube is never built.
+    runs on an ε-free core of A where every remaining cycle/path/cycle
+    configuration genuinely pumps.  _epsilon_core builds that core, with
+    its SCCs and id maps, once per entry point (see _Core).  Growth is
+    detected on the core's cube extended with marker transitions from
+    (p, q, q)-states to (p, p, q)-states.  The site search builds only the
+    part of that marked cube between the SCCs of p and of q: the first
+    coordinate stays in SCC(p), the third in SCC(q), and the second runs
+    from one to the other (see _ida_sites), so it runs once per ordered
+    pair of cyclic SCCs.  Without exponential growth p and q lie in
+    different SCCs, so classification needs no cube at all when fewer than
+    two SCCs are cyclic.  The same region walk, started from one
+    (p, p, q), is the point query behind witness verification, which only
+    asks whether it reaches (p, q, q), and behind ida_witness, which alone
+    reads the path back (see _site_walk); the full cube is never built.
   * The polynomial degree is the longest chain of such (p, q) sites along a
     path of the core's condensation.
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     EPSILON,
@@ -160,103 +162,137 @@ def _adjacency(fa: FiniteAutomaton, indexed: bool = False) -> list[list]:
     return adj
 
 
-def _epsilon_core(
-    a: FiniteAutomaton,
-) -> tuple[
-    FiniteAutomaton,
-    tuple[tuple[int, ...], ...] | None,
-    list[int] | None,
-    bool,
-]:
-    """Fold ε-runs into the symbol step that follows them.
+class _Core(NamedTuple):
+    """The ε-free core of a trim, ε-cycle-free automaton t, as the site search walks it.
 
-    Returns (core, lifts, order, cycle_multiplicity).  The core is ε-free
-    and trim: it has a transition (q, σ, s) whenever a has an ε-run from q
-    followed by a symbol transition (r, σ, s), and q is final whenever an
-    ε-run from q reaches a final state.  Per-string path counts of the core
-    and of a agree within a factor that does not depend on the string, so
-    both automata sit in the same growth regime with the same polynomial
-    degree — except when two distinct runs fold onto one core transition
-    whose endpoints are strongly connected.  Repeating that transition's
-    cycle doubles the number of original paths per turn, so the flag
-    `cycle_multiplicity` reporting this situation implies exponential growth
-    (always caught by the square test as two distinct same-labeled cycles).
+    fa folds every ε-run of t into the symbol step that follows it: it has
+    a transition (q, σ, s) whenever t has an ε-run from q followed by a
+    symbol transition (r, σ, s), and q is final whenever an ε-run from q
+    reaches a final state; it is then trimmed, since states that t reaches
+    only through ε-runs have no transition into them.  An ε-free t is its
+    own core.  Per-string path counts of the core and of t agree within a
+    factor that does not depend on the string, so both sit in the same
+    growth regime with the same polynomial degree — except when two
+    distinct runs fold onto one core transition whose endpoints are
+    strongly connected.  Repeating that transition's cycle doubles the
+    number of t's paths per turn, so `multiplicity`, which reports this,
+    implies exponential growth (always caught by the square test as two
+    distinct same-labeled cycles).  It is read off the core's own SCCs,
+    with no pass over the untrimmed fold: t is trim, so every state on a
+    cycle of the fold is reachable there (a t-path to it, continued along
+    the cycle's first step, folds into a path onto the cycle) and
+    co-reachable (any t-path to a final state folds into one), so trimming
+    keeps every cycle, and with it every transition inside an SCC.
 
-    When a is already ε-free it is returned unchanged with lifts and order
-    None.  Otherwise lifts[i] expands core transition i into the
-    a-transition indices (ε-run, then symbol) it stands for, and order[s]
-    names the a-state behind core state s; order is None when the core
-    keeps every state.
+    lifts[i] expands core transition i into the t-transition indices
+    (ε-run, then symbol) it stands for, order[s] names the t-state behind
+    core state s, and back maps t-states to core states.  succ[s] maps
+    each label to s's successors on it, and inner[s] keeps those that lie
+    in s's own SCC (labels without one are dropped).  forward/backward are
+    plain successor/predecessor lists, comp the SCC ids of
+    graphs.strongly_connected_components and members their states.
     """
-    eps_arcs: list[list[tuple[int, int]]] = [[] for _ in a.states]
-    sym_arcs: list[list[int]] = [[] for _ in a.states]
-    for i, t in enumerate(a.transitions):
-        if t.label == EPSILON:
-            eps_arcs[t.src].append((t.dst, i))
+
+    fa: FiniteAutomaton
+    lifts: tuple[tuple[int, ...], ...]
+    order: Sequence[int]
+    back: dict[int, int]
+    n: int
+    succ: list[dict[str, list[int]]]
+    inner: list[dict[str, list[int]]]
+    forward: list[list[int]]
+    backward: list[list[int]]
+    comp: list[int]
+    members: list[list[int]]
+    multiplicity: bool
+
+
+def _epsilon_core(t: FiniteAutomaton) -> _Core:
+    """The _Core of a trim, ε-cycle-free automaton t."""
+    eps_arcs: list[list[tuple[int, int]]] = [[] for _ in t.states]
+    sym_arcs: list[list[int]] = [[] for _ in t.states]
+    for i, tr in enumerate(t.transitions):
+        if tr.label == EPSILON:
+            eps_arcs[tr.src].append((tr.dst, i))
         else:
-            sym_arcs[t.src].append(i)
+            sym_arcs[tr.src].append(i)
+    heavy: list[tuple[int, str, int]] = []
     if not any(eps_arcs):
-        return a, None, None, False
-    eps_succ = [[dst for dst, _ in arcs] for arcs in eps_arcs]
-
-    combo: dict[tuple[int, str, int], tuple[int, ...]] = {}
-    weight: dict[tuple[int, str, int], int] = {}
-    finals: set[int] = set()
-    for q in a.states:
-        # Reversed depth-first postorder of the ε-run DAG rooted at q, so
-        # every state is relaxed after all its ε-predecessors in the run.
-        post, _ = dfs_postorder((q,), eps_succ)
-        run: dict[int, tuple[int, ...]] = {q: ()}
-        count: dict[int, int] = {q: 1}
-        for r in reversed(post):
-            for dst, i in eps_arcs[r]:
-                count[dst] = min(2, count.get(dst, 0) + count[r])
-                if dst not in run:
-                    run[dst] = run[r] + (i,)
-        if any(r in a.final for r in run):
-            finals.add(q)
-        for r in run:
-            for i in sym_arcs[r]:
-                t = a.transitions[i]
-                key = (q, t.label, t.dst)
-                if key in weight:
-                    weight[key] = min(2, weight[key] + count[r])
-                else:
-                    weight[key] = min(2, count[r])
-                    combo[key] = run[r] + (i,)
-
-    keys = sorted(combo)
-    full = FiniteAutomaton(
-        alphabet=a.alphabet,
-        num_states=a.num_states,
-        initial=a.initial,
-        final=frozenset(finals),
-        transitions=tuple(Transition(*key) for key in keys),
-    )
-    cycle_multiplicity = False
-    if any(weight[key] >= 2 for key in keys):
-        comp, _ = strongly_connected_components(full.num_states, _adjacency(full))
-        cycle_multiplicity = any(
-            weight[key] >= 2 and comp[key[0]] == comp[key[2]] for key in keys
+        fa, order = t, range(t.num_states)
+        lifts = tuple((i,) for i in range(t.num_transitions))
+    else:
+        eps_succ = [[dst for dst, _ in arcs] for arcs in eps_arcs]
+        combo: dict[tuple[int, str, int], tuple[int, ...]] = {}
+        weight: dict[tuple[int, str, int], int] = {}
+        finals: set[int] = set()
+        for q in t.states:
+            # Reversed depth-first postorder of the ε-run DAG rooted at q, so
+            # every state is relaxed after all its ε-predecessors in the run.
+            post, _ = dfs_postorder((q,), eps_succ)
+            run: dict[int, tuple[int, ...]] = {q: ()}
+            count: dict[int, int] = {q: 1}
+            for r in reversed(post):
+                for dst, i in eps_arcs[r]:
+                    count[dst] = min(2, count.get(dst, 0) + count[r])
+                    if dst not in run:
+                        run[dst] = run[r] + (i,)
+            if any(r in t.final for r in run):
+                finals.add(q)
+            for r in run:
+                for i in sym_arcs[r]:
+                    tr = t.transitions[i]
+                    key = (q, tr.label, tr.dst)
+                    if key in weight:
+                        weight[key] = min(2, weight[key] + count[r])
+                    else:
+                        weight[key] = min(2, count[r])
+                        combo[key] = run[r] + (i,)
+        keys = sorted(combo)
+        heavy = [key for key in keys if weight[key] >= 2]
+        fa, maps = _trim(
+            FiniteAutomaton(
+                alphabet=t.alphabet,
+                num_states=t.num_states,
+                initial=t.initial,
+                final=frozenset(finals),
+                transitions=tuple(Transition(*key) for key in keys),
+            )
         )
-    # The cube machinery needs a trim automaton; states that a reaches only
-    # through ε-runs have no core transition into them and must go.
-    core, maps = _trim(full)
-    order, tmap = maps if maps is not None else (None, range(len(keys)))
-    lifts = tuple(combo[keys[i]] for i in tmap)
-    return core, lifts, order, cycle_multiplicity
+        order, tmap = maps if maps is not None else (range(t.num_states), range(len(keys)))
+        lifts = tuple(combo[keys[i]] for i in tmap)
+    back = {s: c for c, s in enumerate(order)}
+    n = fa.num_states
+    succ: list[dict[str, list[int]]] = [{} for _ in range(n)]
+    forward: list[list[int]] = [[] for _ in range(n)]
+    backward: list[list[int]] = [[] for _ in range(n)]
+    for src, label, dst in fa.transitions:
+        succ[src].setdefault(label, []).append(dst)
+        forward[src].append(dst)
+        backward[dst].append(src)
+    comp, sccs = strongly_connected_components(n, forward)
+    members: list[list[int]] = [[] for _ in range(sccs)]
+    for s in range(n):
+        members[comp[s]].append(s)
+    inner = [
+        {
+            label: kept
+            for label, dsts in succ[s].items()
+            if (kept := [d for d in dsts if comp[d] == comp[s]])
+        }
+        for s in range(n)
+    ]
+    multiplicity = any(
+        q in back and s in back and comp[back[q]] == comp[back[s]] for q, _, s in heavy
+    )
+    return _Core(
+        fa, lifts, order, back, n, succ, inner, forward, backward, comp, members,
+        multiplicity,
+    )
 
 
-def _lift_path(
-    lifts: tuple[tuple[int, ...], ...] | None, path: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Expand a core path back into original transition indices."""
-    if lifts is None:
-        return path
-    out: list[int] = []
-    for i in path:
-        out.extend(lifts[i])
-    return tuple(out)
+def _lift_path(lifts: tuple[tuple[int, ...], ...], path: Iterable[int]) -> tuple[int, ...]:
+    """Expand a core path back into the t-transition indices it stands for."""
+    return tuple(i for step in path for i in lifts[step])
 
 
 def eda_criterion(a: FiniteAutomaton) -> bool:
@@ -321,19 +357,15 @@ def _eda_cycles(a: FiniteAutomaton, sq: ProductAutomaton, found) -> EDAWitness:
     return witness
 
 
-def _bfs_transitions(arcs, start: int, goal: int, allowed: set[int] | None = None):
-    """Shortest transition-index path start -> goal with >= 1 edge, or None.
-
-    With start == goal this finds a shortest non-empty cycle through start.
-    """
+def _bfs_transitions(arcs, start: int, goal: int, allowed: set[int]):
+    """Shortest transition-index path start -> goal != start inside allowed, or None."""
     parents: dict[int, tuple[int, int]] = {}
     queue = deque([start])
-    # Never mark `goal` as seen up front, so a cycle back to start is found.
-    seen = {start} - {goal}
+    seen = {start}
     while queue:
         node = queue.popleft()
         for dst, idx in arcs[node]:
-            if dst in seen or (allowed is not None and dst not in allowed):
+            if dst in seen or dst not in allowed:
                 continue
             seen.add(dst)
             parents[dst] = (node, idx)
@@ -350,54 +382,8 @@ def _bfs_transitions(arcs, start: int, goal: int, allowed: set[int] | None = Non
     return None
 
 
-class _CoreGraph(NamedTuple):
-    """The ε-free core as the site search walks it.
-
-    succ[s] maps each label to s's successors on it, and inner[s] keeps
-    those that lie in s's own SCC (labels without one are dropped).
-    forward/backward are plain successor/predecessor lists, comp the SCC
-    ids of graphs.strongly_connected_components and members their states.
-    index maps each core transition to its index; the core is ε-free, so
-    (src, label, dst) names one transition.
-    """
-
-    n: int
-    succ: list[dict[str, list[int]]]
-    inner: list[dict[str, list[int]]]
-    forward: list[list[int]]
-    backward: list[list[int]]
-    comp: list[int]
-    members: list[list[int]]
-    index: dict[Transition, int]
-
-
-def _core_graph(core: FiniteAutomaton) -> _CoreGraph:
-    n = core.num_states
-    succ: list[dict[str, list[int]]] = [{} for _ in range(n)]
-    forward: list[list[int]] = [[] for _ in range(n)]
-    backward: list[list[int]] = [[] for _ in range(n)]
-    for src, label, dst in core.transitions:
-        succ[src].setdefault(label, []).append(dst)
-        forward[src].append(dst)
-        backward[dst].append(src)
-    comp, count = strongly_connected_components(n, forward)
-    members: list[list[int]] = [[] for _ in range(count)]
-    for s in range(n):
-        members[comp[s]].append(s)
-    inner = [
-        {
-            label: kept
-            for label, dsts in succ[s].items()
-            if (kept := [d for d in dsts if comp[d] == comp[s]])
-        }
-        for s in range(n)
-    ]
-    index = dict(zip(core.transitions, range(core.num_transitions)))
-    return _CoreGraph(n, succ, inner, forward, backward, comp, members, index)
-
-
 def _region_cube(
-    g: _CoreGraph, mid: set[int], starts: list[int]
+    core: _Core, mid: set[int], starts: list[int]
 ) -> tuple[
     dict[int, int],
     list[list[int]],
@@ -417,13 +403,13 @@ def _region_cube(
     starts, and for each node the code and label of the move that
     discovered it (None for the starts): a breadth-first tree.
     """
-    n = g.n
+    n = core.n
     nn = n * n
-    inner = g.inner
+    inner = core.inner
     between = {
         y: {
             label: kept
-            for label, dsts in g.succ[y].items()
+            for label, dsts in core.succ[y].items()
             if (kept := [d * n for d in dsts if d in mid])
         }
         for y in mid
@@ -461,9 +447,9 @@ def _region_cube(
 
 
 def _ida_sites(
-    g: _CoreGraph, pairs: Iterable[tuple[int, int]], same_scc: bool
+    core: _Core, pairs: Iterable[tuple[int, int]], same_scc: bool
 ) -> set[tuple[int, int]]:
-    """IDA pairs of an ε-free trim automaton's _core_graph g, by the marked-cube criterion.
+    """IDA pairs of the ε-free core, in its own ids, by the marked-cube criterion.
 
     The marked cube adds a marker edge from every (p, q, q) to (p, p, q),
     p != q, and (p, q) is a site iff that marker lies inside a strongly
@@ -486,17 +472,17 @@ def _ida_sites(
     trimmed cube's accessible part (a deterministic core, whose square is
     its diagonal, needs no exploration at all).  The same argument puts
     every path (p, p, q) → (p, q, q) in the trimmed cube and in the region,
-    which is why _site_path finds the witness paths there.
+    which is why _site_walk finds the witness paths there.
 
     Same-SCC pairs (C₁ = C₃) are searched only when same_scc is true;
     without exponential growth no site joins two states of one SCC.
     """
-    n, members = g.n, g.members
-    cyclic = [c for c, states in enumerate(members) if g.inner[states[0]]]
+    n, members = core.n, core.members
+    cyclic = [c for c, states in enumerate(members) if core.inner[states[0]]]
     if len(cyclic) < (1 if same_scc else 2):
         return set()
-    down = {c: reachable(members[c], g.forward) for c in cyclic}
-    up = {c: reachable(members[c], g.backward) for c in cyclic}
+    down = {c: reachable(members[c], core.forward) for c in cyclic}
+    up = {c: reachable(members[c], core.backward) for c in cyclic}
     paired = {p * n + q for p, q in pairs if p != q}
     sites: set[tuple[int, int]] = set()
     for c1 in cyclic:
@@ -511,7 +497,7 @@ def _ida_sites(
             ]
             if not starts:
                 continue
-            ids, arcs, marked, _ = _region_cube(g, down[c1] & up[c3], starts)
+            ids, arcs, marked, _ = _region_cube(core, down[c1] & up[c3], starts)
             markers = []
             for node, x, y in marked:
                 target = ids[(x * n + x) * n + y]  # (x, x, y) is a start
@@ -525,10 +511,8 @@ def _ida_sites(
 def ida_criterion(a: FiniteAutomaton) -> bool:
     """True iff path counts grow without bound (polynomially or worse)."""
     _require_analyzable(a)
-    core, _, _, cycle_multiplicity = _epsilon_core(a)
-    return cycle_multiplicity or bool(
-        _ida_sites(_core_graph(core), _square(core).components, True)
-    )
+    core = _epsilon_core(a)
+    return core.multiplicity or bool(_ida_sites(core, _square(core.fa).components, True))
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
@@ -540,70 +524,61 @@ def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
     sites — they pump one path per string).
     """
     _require_analyzable(a)
-    core, _, order, _ = _epsilon_core(a)
-    sites = _ida_sites(_core_graph(core), _square(core).components, True)
-    if order is None:
-        return frozenset(sites)
+    core = _epsilon_core(a)
+    order = core.order
+    sites = _ida_sites(core, _square(core.fa).components, True)
     return frozenset((order[p], order[q]) for p, q in sites)
 
 
-def _inverse(order: list[int] | None, n: int) -> dict[int, int]:
-    """Original id -> compacted id; the identity on range(n) when order is None."""
-    if order is None:
-        return {s: s for s in range(n)}
-    return {old: new for new, old in enumerate(order)}
+def _site_walk(
+    core: _Core, p: int, q: int
+) -> tuple[dict[int, int], list[tuple[int, str] | None]] | None:
+    """The breadth-first region walk from (p, p, q), p != q, in the core's cube.
 
-
-def _site_path(g: _CoreGraph, p: int, q: int) -> list[tuple[int, int, int]] | None:
-    """Shortest path (p, p, q) → (p, q, q), p != q, in the cube of g's core, or None.
-
-    Every such path lies in the region of _ida_sites for SCC(p), SCC(q), so
-    the path is read off the breadth-first tree that _region_cube grows
-    there from (p, p, q).  Each step is given as the three core transition
-    indices (x, y, z) that it moves along.
+    Every path (p, p, q) → (p, q, q) lies in the region of _ida_sites for
+    SCC(p), SCC(q), so the walk runs there.  Returns the node ids and the
+    tree of _region_cube, or None when the walk misses (p, q, q).
     """
-    n = g.n
-    down = reachable(g.members[g.comp[p]], g.forward)
+    n = core.n
+    down = reachable(core.members[core.comp[p]], core.forward)
     if q not in down:
         return None
-    mid = down & reachable(g.members[g.comp[q]], g.backward)
-    ids, _, _, parents = _region_cube(g, mid, [(p * n + p) * n + q])
-    code = (p * n + q) * n + q
-    if code not in ids:
-        return None
-    index = g.index
-    steps: list[tuple[int, int, int]] = []
-    x, y, z = p, q, q
-    while (link := parents[ids[code]]) is not None:
-        code, label = link
-        x0, y0, z0 = code // (n * n), code // n % n, code % n
-        steps.append((index[x0, label, x], index[y0, label, y], index[z0, label, z]))
-        x, y, z = x0, y0, z0
-    steps.reverse()
-    return steps
+    mid = down & reachable(core.members[core.comp[q]], core.backward)
+    ids, _, _, parents = _region_cube(core, mid, [(p * n + p) * n + q])
+    return (ids, parents) if (p * n + q) * n + q in ids else None
 
 
 def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     """The three same-labeled paths p → p, p → q, q → q backing a site.
 
     They are the projections of a shortest cube path (p, p, q) → (p, q, q)
-    of the ε-free core (see _site_path), lifted back to a's transitions.
-    Among several shortest paths the first one breadth-first search meets
-    is taken, with each triple's successors in the order of _region_cube.
-    Returns None when there is no such path, i.e. when the pair pumps
-    nothing.
+    of the ε-free core, read off the tree of _site_walk and lifted back to
+    a's transitions.  Among several shortest paths the first one
+    breadth-first search meets is taken, with each triple's successors in
+    the order of _region_cube.  Returns None when there is no such path,
+    i.e. when the pair pumps nothing.
     """
     _require_analyzable(a)
-    if p == q or not (0 <= p < a.num_states and 0 <= q < a.num_states):
+    if p == q:
         return None
-    core, lifts, order, _ = _epsilon_core(a)
-    back = _inverse(order, core.num_states)
-    if p not in back or q not in back:
+    core = _epsilon_core(a)
+    cp, cq = core.back.get(p), core.back.get(q)
+    if cp is None or cq is None or (tree := _site_walk(core, cp, cq)) is None:
         return None
-    steps = _site_path(_core_graph(core), back[p], back[q])
-    if steps is None:
-        return None
-    path_pp, path_pq, path_qq = (_lift_path(lifts, leg) for leg in zip(*steps))
+    ids, parents = tree
+    n = core.n
+    # the core is ε-free, so (src, label, dst) names one transition
+    index = dict(zip(core.fa.transitions, range(core.fa.num_transitions)))
+    steps: list[tuple[int, int, int]] = []
+    code, x, y, z = (cp * n + cq) * n + cq, cp, cq, cq
+    while (link := parents[ids[code]]) is not None:
+        code, label = link
+        x0, y0, z0 = code // (n * n), code // n % n, code % n
+        steps.append((index[x0, label, x], index[y0, label, y], index[z0, label, z]))
+        x, y, z = x0, y0, z0
+    path_pp, path_pq, path_qq = (
+        _lift_path(core.lifts, reversed(leg)) for leg in zip(*steps)
+    )
     witness = IDAWitness(
         p=p,
         q=q,
@@ -618,15 +593,19 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
 
 
 def _dpa_impl(
-    g: _CoreGraph, pairs: set[tuple[int, int]], want_witness: bool
+    core: _Core, pairs: set[tuple[int, int]], want_witness: bool
 ) -> tuple[int, DPAWitness | None]:
-    """Longest chain of the sites `pairs` along one condensation path of g (no EDA allowed)."""
+    """Longest chain of the core's sites `pairs` along one condensation path.
+
+    No EDA is allowed.  The witness names the sites by the states of the
+    automaton behind the core.
+    """
     if not pairs:
         return 0, None
-    comp, count = g.comp, len(g.members)
+    comp, count = core.comp, len(core.members)
     out: list[list[tuple[int, int, tuple[int, int] | None]]] = [[] for _ in range(count)]
     plain: set[tuple[int, int]] = set()
-    for src, dsts in enumerate(g.forward):
+    for src, dsts in enumerate(core.forward):
         for dst in dsts:
             cu, cv = comp[src], comp[dst]
             if cu != cv and (cu, cv) not in plain:
@@ -658,52 +637,40 @@ def _dpa_impl(
     chain.reverse()
     if len(chain) != degree:
         raise InternalInvariantViolation("site chain reconstruction mismatch")
-    return degree, DPAWitness(pairs=tuple(chain))
+    order = core.order
+    return degree, DPAWitness(pairs=tuple((order[p], order[q]) for p, q in chain))
 
 
-def _order_dpa_pairs(w: DPAWitness | None, order: list[int] | None):
-    if w is None or order is None:
-        return w
-    return DPAWitness(pairs=tuple((order[p], order[q]) for p, q in w.pairs))
-
-
-def _growth(
-    t: FiniteAutomaton, want_cycles: bool, want_chain: bool
-) -> tuple[int | None, Witness | None]:
+def _growth(t: FiniteAutomaton, want_witness: bool) -> tuple[int | None, Witness | None]:
     """Growth of a trim, ε-cycle-free automaton from its square and its core.
 
-    Returns (None, EDA witness if want_cycles) when growth is exponential,
-    else (degree, DPA witness if want_chain).  The square decides EDA; the
-    sites, all between two distinct SCCs once EDA is excluded, come from
-    the SCC-pair regions of the ε-free core's cube.
+    Returns (None, EDA witness) when growth is exponential, else (degree,
+    DPA witness), each witness only if want_witness.  The square decides
+    EDA; the sites, all between two distinct SCCs once EDA is excluded,
+    come from the SCC-pair regions of the ε-free core's cube.
     """
     sq = _square(t)
     found = _find_eda_scc(sq)
     if found is not None:
-        return None, _eda_cycles(t, sq, found) if want_cycles else None
-    core, _, order, cycle_multiplicity = _epsilon_core(t)
-    if cycle_multiplicity:
+        return None, _eda_cycles(t, sq, found) if want_witness else None
+    core = _epsilon_core(t)
+    if core.multiplicity:
         raise InternalInvariantViolation(
             "folded run multiplicity without detected exponential growth"
         )
     # t's square pairs hold the core's: the core's states are t-states, and
     # a word leading to two of them, or from both to final states, in the
     # core does so in t
-    to_core = _inverse(order, core.num_states)
-    pairs = [
-        (to_core[x], to_core[y]) for x, y in sq.components if x in to_core and y in to_core
-    ]
+    back = core.back
+    pairs = [(back[x], back[y]) for x, y in sq.components if x in back and y in back]
     del sq
-    g = _core_graph(core)
-    sites = _ida_sites(g, pairs, False)
-    degree, witness = _dpa_impl(g, sites, want_chain)
-    return degree, _order_dpa_pairs(witness, order)
+    return _dpa_impl(core, _ida_sites(core, pairs, False), want_witness)
 
 
 def dpa(a: FiniteAutomaton) -> int:
     """Degree of polynomial growth: 0 = bounded, d >= 1 = Θ(n^d) path counts."""
     _require_analyzable(a)
-    degree, _ = _growth(a, False, False)
+    degree, _ = _growth(a, False)
     if degree is None:
         raise ExponentiallyAmbiguousInput("growth is exponential; no polynomial degree")
     return degree
@@ -712,7 +679,7 @@ def dpa(a: FiniteAutomaton) -> int:
 def dpa_with_witness(a: FiniteAutomaton) -> tuple[int, DPAWitness | None]:
     """Like dpa(), also returning the chain of sites realizing the degree."""
     _require_analyzable(a)
-    degree, witness = _growth(a, False, True)
+    degree, witness = _growth(a, True)
     if degree is None:
         raise ExponentiallyAmbiguousInput("growth is exponential; no polynomial degree")
     return degree, witness
@@ -755,7 +722,7 @@ def _classify_trim(
     """
     if t.num_states == 0 or t.num_transitions == 0:
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
-    degree, witness = _growth(t, want_witness, want_witness)
+    degree, witness = _growth(t, want_witness)
     witness = _remap_witness(witness, maps)
     if degree is None:
         return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, witness)
@@ -812,19 +779,17 @@ def verify_dpa_witness(
         return False
     if has_epsilon_cycle(t):
         raise EpsilonCycleInput("analysis requires an ε-cycle-free automaton")
-    to_t = _inverse(maps[0] if maps else None, t.num_states)
-    if any(p not in to_t or q not in to_t for p, q in w.pairs):
-        return False
-    core, _, order, _ = _epsilon_core(t)
-    to_core = _inverse(order, core.num_states)
-    g = _core_graph(core)
+    core = _epsilon_core(t)
+    order = maps[0] if maps else range(t.num_states)
+    to_core = {order[s]: c for s, c in core.back.items()}
     for p, q in w.pairs:
-        cp, cq = to_core.get(to_t[p]), to_core.get(to_t[q])
-        if p == q or cp is None or cq is None or _site_path(g, cp, cq) is None:
+        cp, cq = to_core.get(p), to_core.get(q)
+        if p == q or cp is None or cq is None or _site_walk(core, cp, cq) is None:
             return False
-    succ = _adjacency(t)
+    # the sites' states are useful, so a path of a between them is one of t
+    succ = _adjacency(a)
     for (_, q1), (p2, _) in zip(w.pairs, w.pairs[1:]):
-        if to_t[p2] not in reachable([to_t[q1]], succ):
+        if p2 not in reachable([q1], succ):
             return False
     return True
 

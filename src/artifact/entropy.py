@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import AmbiguityClass, _classify_trim
 from .core import EPSILON, has_epsilon_cycle, is_trim
 from .errors import AlphabetTooLarge, EpsilonCycleInput, MassNotOne, NotTrim
-from .oracle import growth_table
+from .oracle import GROWTH_MAX_SYMBOLS, growth_table
 from .semiring import _distances, _entropy_value, _mapped, map_entropy, map_expectation
 from .weighted import WeightedAutomaton
 
@@ -36,6 +36,10 @@ _MASS_TOL = 1e-6
 
 # brute_entropy enumerates strings; refuse anything past this many leaves
 _BRUTE_CAP = 4_194_304
+
+# entropy_report reads k, the largest observed path count, off a growth
+# table of strings up to this length
+_TABLE_MAX_LEN = 10
 
 
 def _check_analyzable(wa: WeightedAutomaton) -> None:
@@ -211,7 +215,6 @@ def entropy_report(
     tol: float = 1e-10,
     want_brute: bool = False,
     brute_max_len: int = 12,
-    table_max_len: int = 10,
 ) -> EntropyReport:
     """One-stop analysis: mass check, S, L, ambiguity, entropy brackets.
 
@@ -232,8 +235,8 @@ def entropy_report(
     if ambiguity.kind is AmbiguityClass.EXPONENTIAL:
         low = high = None
     elif ambiguity.kind is AmbiguityClass.FINITE:
-        if len(wa.skeleton.alphabet) <= 4:
-            k_observed = max(1, growth_table(wa.skeleton, table_max_len).max_count())
+        if len(wa.skeleton.alphabet) <= GROWTH_MAX_SYMBOLS:
+            k_observed = max(1, growth_table(wa.skeleton, _TABLE_MAX_LEN).max_count())
             low, high = s - math.log(k_observed), s
         else:
             # growth scan unavailable at this alphabet size; keep the

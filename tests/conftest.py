@@ -17,7 +17,6 @@ Three corpora are exposed as session fixtures:
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from functools import lru_cache
@@ -179,16 +178,3 @@ def running_max(table) -> list[int]:
         m = max(m, row.count)
         out.append(m)
     return out
-
-
-def assert_growth_consistent(kind: AmbiguityClass, degree, run: list[int]) -> bool:
-    """The class-specific growth envelope used by the consistency checks."""
-    if kind == AmbiguityClass.FINITE:
-        return run[12] == run[8]
-    if kind == AmbiguityClass.EXPONENTIAL:
-        return run[10] >= 2 * run[5]
-    return run[12] <= 13 ** degree * max(run[4], 1)
-
-
-def entropy_gap_bound(k_observed: int) -> float:
-    return math.log(k_observed)

@@ -21,7 +21,6 @@ from artifact.analysis import (
     IDAWitness,
     _adjacency,
     _epsilon_core,
-    _inverse,
     _lift_path,
     _require_analyzable,
     verify_ida_witness,
@@ -129,8 +128,7 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     _require_analyzable(a)
     if p == q or not (0 <= p < a.num_states and 0 <= q < a.num_states):
         return None
-    core, lifts, order, _ = _epsilon_core(a)
-    back = _inverse(order, core.num_states)
+    core, lifts, _, back, *_ = _epsilon_core(a)
     if p not in back or q not in back:
         return None
     cb = _cube(core)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from artifact.analysis import (
     AmbiguityClass,
-    _core_graph,
     _epsilon_core,
     _ida_sites,
     classify,
@@ -284,7 +283,9 @@ def test_eda_checks_validate_their_input_once(monkeypatch, check):
     assert sorted(calls) == ["has_epsilon_cycle", "is_trim"]
 
 
-def test_classify_runs_one_tarjan_pass_over_the_core(monkeypatch):
+@pytest.fixture
+def tarjan_passes(monkeypatch):
+    """The node count of every SCC pass that artifact.analysis runs."""
     from artifact import analysis
 
     passes = []
@@ -295,9 +296,28 @@ def test_classify_runs_one_tarjan_pass_over_the_core(monkeypatch):
         return tarjan(n, succ)
 
     monkeypatch.setattr(analysis, "strongly_connected_components", counting)
+    return passes
+
+
+def test_classify_runs_one_tarjan_pass_over_the_core(tarjan_passes):
     assert classify(EX_POLY2, want_witness=True).degree == 2
     # the square (9 states), the core (3), then the three SCC-pair regions
-    assert passes == [9, 3, 2, 3, 2]
+    assert tarjan_passes == [9, 3, 2, 3, 2]
+
+
+def test_folded_multiplicity_comes_from_the_core_pass(tarjan_passes):
+    """An ε-diamond folds two runs onto the core edge 0 -a-> 4, off every
+    cycle; its weight is read off the trimmed core's SCCs, not a pass over
+    the untrimmed fold."""
+    a = validate(
+        ("a",), 5, [0], [4],
+        [(0, EPSILON, 1), (0, EPSILON, 2), (1, EPSILON, 3), (2, EPSILON, 3),
+         (3, "a", 4), (4, "a", 4)],
+    )
+    assert count_paths(a, ("a",) * 3) == 2
+    assert (classify(a).kind, _epsilon_core(a).multiplicity) == (F, False)
+    # the square (7 states), then the core (2), once per call
+    assert tarjan_passes == [7, 2, 2]
 
 
 def _ladder(k):
@@ -376,14 +396,13 @@ def test_ida_witness_on_a_240_state_chain_runs_in_time():
 def _sites_match_the_reference(a, exponential):
     """The region search finds the full marked cube's sites, given the core's
     square pairs or any superset of them (here: every pair)."""
-    core = _epsilon_core(trim(a))[0]
-    want = reference_sites._ida_sites(cube(core))
-    every_pair = list(itertools.product(core.states, repeat=2))
-    g = _core_graph(core)
-    for pairs in (square(core).components, every_pair):
-        assert _ida_sites(g, pairs, True) == want
+    core = _epsilon_core(trim(a))
+    want = reference_sites._ida_sites(cube(core.fa))
+    every_pair = list(itertools.product(core.fa.states, repeat=2))
+    for pairs in (square(core.fa).components, every_pair):
+        assert _ida_sites(core, pairs, True) == want
         if not exponential:
-            assert _ida_sites(g, pairs, False) == want
+            assert _ida_sites(core, pairs, False) == want
 
 
 def test_region_sites_match_the_full_cube_sites():
