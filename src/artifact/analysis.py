@@ -5,8 +5,14 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
 (EXPONENTIAL).  The three regimes are decided structurally:
 
   * EXPONENTIAL iff some state carries two distinct cycles with the same
-    label — detected on the square A ∩ A as a strongly connected component
+    label, i.e. the square A ∩ A has a strongly connected component
     containing both a diagonal state (p, p) and an off-diagonal (q, q').
+    It is decided on the ε-free core of A (see below): either two ε-runs
+    fold onto one core transition on a cycle, or, per SCC C of the core,
+    the closure of C's diagonal in C × C steps from an off-diagonal pair
+    back into the diagonal (see _eda_closure).  The closure stops at the
+    first such step, and deciding EXPONENTIAL builds no product; only an
+    EDA witness is read off the SCCs of the whole square.
   * Unbounded (infinite) ambiguity iff two states p ≠ q have same-labeled
     cycles joined by a same-labeled path that cannot be slid into one
     another.  Paths that differ only in how an ε-run is split around a
@@ -41,6 +47,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -150,15 +157,11 @@ def _require_analyzable(a: FiniteAutomaton) -> None:
         raise NotTrim("analysis requires a trim automaton")
 
 
-def _adjacency(fa: FiniteAutomaton, indexed: bool = False) -> list[list]:
-    """Per-state successors; (successor, transition index) pairs if indexed."""
-    adj: list[list] = [[] for _ in fa.states]
-    if indexed:
-        for i, t in enumerate(fa.transitions):
-            adj[t.src].append((t.dst, i))
-    else:  # the SCC passes over products; keep this loop bare
-        for t in fa.transitions:
-            adj[t.src].append(t.dst)
+def _adjacency(fa: FiniteAutomaton) -> list[list[int]]:
+    """Per-state successors, each state's in the order of its transitions."""
+    adj: list[list[int]] = [[] for _ in fa.states]
+    for t in fa.transitions:  # the SCC passes over products; keep this loop bare
+        adj[t.src].append(t.dst)
     return adj
 
 
@@ -176,8 +179,8 @@ class _Core(NamedTuple):
     distinct runs fold onto one core transition whose endpoints are
     strongly connected.  Repeating that transition's cycle doubles the
     number of t's paths per turn, so `multiplicity`, which reports this,
-    implies exponential growth (always caught by the square test as two
-    distinct same-labeled cycles).  It is read off the core's own SCCs,
+    decides EXPONENTIAL by itself; without it t grows exponentially iff
+    the core does (see _eda_closure).  It is read off the core's own SCCs,
     with no pass over the untrimmed fold: t is trim, so every state on a
     cycle of the fold is reachable there (a t-path to it, continued along
     the cycle's first step, folds into a path onto the cycle) and
@@ -295,50 +298,97 @@ def _lift_path(lifts: tuple[tuple[int, ...], ...], path: Iterable[int]) -> tuple
     return tuple(i for step in path for i in lifts[step])
 
 
+def _eda_closure(core: _Core) -> bool:
+    """True iff the automaton t behind core grows exponentially (EDA).
+
+    t's path counts and the core's agree within a constant factor unless
+    multiplicity is set, which alone makes t exponential (see _Core).  So t
+    is EDA iff multiplicity holds or the core is EDA, i.e. the core's square
+    has an SCC holding a diagonal and an off-diagonal state.
+
+    That square is neither built nor Tarjan-ed.  For each cyclic SCC C of
+    the core, the closure of its diagonal {(p, p) : p ∈ C} under
+    same-labeled pairs of C's inner arcs, with (x, y) coded x·n + y, stops
+    at the first step from an off-diagonal (x, y) into the diagonal; the
+    core is ε-free, so no filter coordinate is needed.  Such a step exists
+    iff the core is EDA:
+      * all of C's diagonal lies in one SCC of the square, since the
+        diagonal of a path inside C links any two of its states;
+      * an EDA SCC holding (p, p) lies in C × C for the C ∋ p, since its
+        cycles project onto cycles through p, so the closure reaches its
+        states, and on its path from an off-diagonal state back to (p, p)
+        the last off-diagonal state steps into the diagonal;
+      * conversely, a step from (x, y), reached from some (p, p), into
+        (d, d) closes the cycle (p, p) → (x, y) → (d, d) → (p, p), whose
+        states are useful in the square because the core is trim.
+    """
+    if core.multiplicity:
+        return True
+    n, inner = core.n, core.inner
+    for states in core.members:
+        if not inner[states[0]]:
+            continue
+        seen = {p * n + p for p in states}
+        stack = list(seen)
+        while stack:
+            x, y = divmod(stack.pop(), n)
+            ys = inner[y]
+            for label, x2s in inner[x].items():
+                y2s = ys.get(label)
+                if y2s is None:
+                    continue
+                for x2 in x2s:
+                    for y2 in y2s:
+                        if x2 == y2:
+                            if x != y:
+                                return True
+                        elif (c := x2 * n + y2) not in seen:
+                            seen.add(c)
+                            stack.append(c)
+    return False
+
+
 def eda_criterion(a: FiniteAutomaton) -> bool:
     """True iff one state carries two distinct cycles sharing a label."""
     _require_analyzable(a)
-    return _find_eda_scc(_square(a)) is not None
-
-
-def _find_eda_scc(sq: ProductAutomaton):
-    """Locate an SCC of the square holding a diagonal and an off-diagonal state.
-
-    Returns (comp array, diagonal state, off-diagonal state) or None.
-    """
-    fa = sq.underlying
-    comp, count = strongly_connected_components(fa.num_states, _adjacency(fa))
-    diag = [-1] * count
-    off = [-1] * count
-    for s in range(fa.num_states):
-        q1, q2 = sq.components[s]
-        if q1 == q2:
-            if diag[comp[s]] < 0:
-                diag[comp[s]] = s
-        elif off[comp[s]] < 0:
-            off[comp[s]] = s
-    for c in range(count):
-        if diag[c] >= 0 and off[c] >= 0:
-            return comp, diag[c], off[c]
-    return None
+    return _eda_closure(_epsilon_core(a))
 
 
 def eda_witness(a: FiniteAutomaton) -> EDAWitness | None:
     """Extract two distinct same-labeled cycles, or None if there are none."""
     _require_analyzable(a)
-    sq = _square(a)
-    found = _find_eda_scc(sq)
-    return None if found is None else _eda_cycles(a, sq, found)
+    return _find_eda_scc(a, _square(a))
 
 
-def _eda_cycles(a: FiniteAutomaton, sq: ProductAutomaton, found) -> EDAWitness:
-    """The cycle pair behind the SCC that _find_eda_scc(sq) found in a's square."""
-    comp, diag_state, off_state = found
+def _find_eda_scc(t: FiniteAutomaton, sq: ProductAutomaton) -> EDAWitness | None:
+    """The cycle pair of an SCC of t's square sq holding a diagonal and an
+    off-diagonal state, or None when there is no such SCC.
+
+    One Tarjan pass picks the SCC with the lowest component id, and in it the
+    lowest diagonal and off-diagonal state.  Two breadth-first searches
+    inside that SCC, from the diagonal state to the off-diagonal one and
+    back, close a cycle through (p, p) whose projections are two distinct
+    same-labeled cycles at p.
+    """
     fa = sq.underlying
-    arcs = _adjacency(fa, indexed=True)
-    allowed = {s for s in range(fa.num_states) if comp[s] == comp[diag_state]}
-    there = _bfs_transitions(arcs, diag_state, off_state, allowed)
-    back = _bfs_transitions(arcs, off_state, diag_state, allowed)
+    succ = _adjacency(fa)
+    comp, count = strongly_connected_components(fa.num_states, succ)
+    diag = [-1] * count
+    off = [-1] * count
+    for s, (q1, q2) in enumerate(sq.components):
+        if q1 == q2:
+            if diag[comp[s]] < 0:
+                diag[comp[s]] = s
+        elif off[comp[s]] < 0:
+            off[comp[s]] = s
+    found = next((c for c in range(count) if diag[c] >= 0 and off[c] >= 0), None)
+    if found is None:
+        return None
+    # transitions are sorted by source, so the k-th successor of s is
+    # reached by transition first[s] + k
+    first = list(accumulate(map(len, succ), initial=0))
+    there = _bfs_transitions(succ, first, comp, diag[found], off[found])
+    back = _bfs_transitions(succ, first, comp, off[found], diag[found])
     if there is None or back is None:
         raise InternalInvariantViolation("SCC members not mutually reachable")
     loop = there + back
@@ -347,30 +397,33 @@ def _eda_cycles(a: FiniteAutomaton, sq: ProductAutomaton, found) -> EDAWitness:
     if cycle_a == cycle_b:
         raise InternalInvariantViolation("projected cycles coincide")
     witness = EDAWitness(
-        state=sq.components[diag_state][0],
-        label=path_label(a, cycle_a),
+        state=sq.components[diag[found]][0],
+        label=path_label(t, cycle_a),
         cycle_a=cycle_a,
         cycle_b=cycle_b,
     )
-    if not verify_eda_witness(a, witness):
+    if not verify_eda_witness(t, witness):
         raise InternalInvariantViolation("extracted cycle pair failed validation")
     return witness
 
 
-def _bfs_transitions(arcs, start: int, goal: int, allowed: set[int]):
-    """Shortest transition-index path start -> goal != start inside allowed, or None."""
+def _bfs_transitions(
+    succ: list[list[int]], first: list[int], comp: list[int], start: int, goal: int
+) -> list[int] | None:
+    """Shortest transition-index path start -> goal != start inside start's SCC, or None."""
+    c = comp[start]
     parents: dict[int, tuple[int, int]] = {}
     queue = deque([start])
     seen = {start}
     while queue:
         node = queue.popleft()
-        for dst, idx in arcs[node]:
-            if dst in seen or dst not in allowed:
+        for k, dst in enumerate(succ[node]):
+            if dst in seen or comp[dst] != c:
                 continue
             seen.add(dst)
-            parents[dst] = (node, idx)
+            parents[dst] = (node, first[node] + k)
             if dst == goal:
-                path = [idx]
+                path = [first[node] + k]
                 at = node
                 while at != start:
                     prev, pidx = parents[at]
@@ -641,29 +694,23 @@ def _dpa_impl(
     return degree, DPAWitness(pairs=tuple((order[p], order[q]) for p, q in chain))
 
 
-def _growth(t: FiniteAutomaton, want_witness: bool) -> tuple[int | None, Witness | None]:
-    """Growth of a trim, ε-cycle-free automaton from its square and its core.
+def _growth(t: FiniteAutomaton, want_witness: bool) -> tuple[int | None, DPAWitness | None]:
+    """Growth of a trim, ε-cycle-free automaton from its ε-free core.
 
-    Returns (None, EDA witness) when growth is exponential, else (degree,
-    DPA witness), each witness only if want_witness.  The square decides
-    EDA; the sites, all between two distinct SCCs once EDA is excluded,
-    come from the SCC-pair regions of the ε-free core's cube.
+    Returns (None, None) when growth is exponential, which _eda_closure
+    decides on the core alone, so no product is built then; else (degree,
+    DPA witness), the witness only if want_witness.  The sites, all between
+    two distinct SCCs once EDA is excluded, come from the SCC-pair regions
+    of the core's cube, started from the state pairs of t's square.
     """
-    sq = _square(t)
-    found = _find_eda_scc(sq)
-    if found is not None:
-        return None, _eda_cycles(t, sq, found) if want_witness else None
     core = _epsilon_core(t)
-    if core.multiplicity:
-        raise InternalInvariantViolation(
-            "folded run multiplicity without detected exponential growth"
-        )
+    if _eda_closure(core):
+        return None, None
     # t's square pairs hold the core's: the core's states are t-states, and
     # a word leading to two of them, or from both to final states, in the
     # core does so in t
     back = core.back
-    pairs = [(back[x], back[y]) for x, y in sq.components if x in back and y in back]
-    del sq
+    pairs = [(back[x], back[y]) for x, y in _square(t).components if x in back and y in back]
     return _dpa_impl(core, _ida_sites(core, pairs, False), want_witness)
 
 
@@ -723,6 +770,10 @@ def _classify_trim(
     if t.num_states == 0 or t.num_transitions == 0:
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
     degree, witness = _growth(t, want_witness)
+    if degree is None and want_witness:
+        witness = _find_eda_scc(t, _square(t))
+        if witness is None:
+            raise InternalInvariantViolation("exponential growth without an EDA SCC")
     witness = _remap_witness(witness, maps)
     if degree is None:
         return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, witness)

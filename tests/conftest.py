@@ -146,6 +146,12 @@ def build_prob50():
     return tuple(corpus)
 
 
+@lru_cache(maxsize=None)
+def build_scale_instance():
+    """The ≈1000-transition exponential instance of acceptance 9 (354 states)."""
+    return random_automaton(400, 3, 2.23e-3, 1.25e-3, seed=810_008)
+
+
 @pytest.fixture(scope="session")
 def corpus100():
     return build_corpus100()

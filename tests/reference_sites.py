@@ -19,7 +19,6 @@ from functools import lru_cache
 
 from artifact.analysis import (
     IDAWitness,
-    _adjacency,
     _epsilon_core,
     _lift_path,
     _require_analyzable,
@@ -29,6 +28,8 @@ from artifact.core import EPSILON, FiniteAutomaton, path_label
 from artifact.errors import InternalInvariantViolation
 from artifact.graphs import strongly_connected_components
 from artifact.product import ProductAutomaton, cube
+
+from reference_eda import _adjacency
 
 
 def _ida_sites(cb: ProductAutomaton) -> set[tuple[int, int]]:

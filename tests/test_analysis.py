@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from artifact.analysis import (
     AmbiguityClass,
+    EDAWitness,
     _epsilon_core,
     _ida_sites,
     classify,
@@ -36,8 +37,9 @@ from artifact.oracle import (
 )
 from artifact.product import cube, square
 
+import reference_eda
 import reference_sites
-from conftest import build_corpus100, running_max
+from conftest import build_corpus100, build_scale_instance, running_max
 
 F = AmbiguityClass.FINITE
 P = AmbiguityClass.POLYNOMIAL
@@ -301,8 +303,9 @@ def tarjan_passes(monkeypatch):
 
 def test_classify_runs_one_tarjan_pass_over_the_core(tarjan_passes):
     assert classify(EX_POLY2, want_witness=True).degree == 2
-    # the square (9 states), the core (3), then the three SCC-pair regions
-    assert tarjan_passes == [9, 3, 2, 3, 2]
+    # the core (3 states), then the three SCC-pair regions; the square,
+    # whose pairs only start the regions, gets no SCC pass
+    assert tarjan_passes == [3, 2, 3, 2]
 
 
 def test_folded_multiplicity_comes_from_the_core_pass(tarjan_passes):
@@ -316,8 +319,8 @@ def test_folded_multiplicity_comes_from_the_core_pass(tarjan_passes):
     )
     assert count_paths(a, ("a",) * 3) == 2
     assert (classify(a).kind, _epsilon_core(a).multiplicity) == (F, False)
-    # the square (7 states), then the core (2), once per call
-    assert tarjan_passes == [7, 2, 2]
+    # the core (2 states), once per call
+    assert tarjan_passes == [2, 2]
 
 
 def _ladder(k):
@@ -331,6 +334,16 @@ def test_classify_builds_one_square_and_no_cube(product_builds):
     product_builds.clear()
     assert classify(EX_POLY2, want_witness=True).degree == 2
     assert product_builds == ["square"]
+
+
+def test_exponential_growth_is_decided_without_a_product(product_builds):
+    assert classify(EX_EXP).kind == E
+    assert eda_criterion(EX_EXP)
+    with pytest.raises(ExponentiallyAmbiguousInput):
+        dpa_with_witness(EX_EXP)
+    # acceptance 9's instance, whose square holds ≈105k states
+    assert classify(build_scale_instance()).kind == E
+    assert product_builds == []
 
 
 @pytest.mark.parametrize("a", [EX_POLY2, _ladder(5)], ids=["poly2", "ladder5"])
@@ -414,10 +427,17 @@ def test_region_sites_match_the_full_cube_sites():
 
 
 @st.composite
-def _small_epsilon_nfas(draw):
-    n = draw(st.integers(1, 5))
+def _small_epsilon_nfas(draw, max_states=5, diamonds=False):
+    n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     edges = draw(st.sets(st.tuples(state, st.sampled_from(["a", "b", EPSILON]), state), max_size=10))
+    if diamonds and n >= 4 and draw(st.booleans()):
+        # two ε-runs s0 → s3 fold onto every symbol edge leaving s3, and the
+        # edge back to s0 may put one of them on a cycle (see _Core)
+        s0, s1, s2, s3 = sorted(draw(st.lists(state, min_size=4, max_size=4, unique=True)))
+        edges |= {(s0, EPSILON, s1), (s0, EPSILON, s2), (s1, EPSILON, s3), (s2, EPSILON, s3)}
+        if draw(st.booleans()):
+            edges.add((s3, "a", s0))
     # ε-edges only run upward, so there is no ε-cycle
     edges = [(s, x, d) for s, x, d in edges if x != EPSILON or s < d]
     initial = draw(st.sets(state, min_size=1, max_size=2))
@@ -466,3 +486,55 @@ def test_ida_witnesses_on_ladders_and_chains_are_the_full_cube_ones(a):
 @given(a=_small_epsilon_nfas())
 def test_ida_witnesses_match_the_full_cube_search_on_random_inputs(a):
     _witnesses_match_the_reference(a, False)
+
+
+def _eda_closure_matches_the_square_scc_search(a):
+    """eda_criterion (the diagonal closure on the ε-free core) answers as
+    eda_witness (the SCC search over the whole square) does."""
+    assert eda_criterion(a) == (eda_witness(a) is not None)
+
+
+def test_eda_closure_matches_the_square_scc_search():
+    for a in [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS, *build_corpus100()]:
+        _eda_closure_matches_the_square_scc_search(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_small_epsilon_nfas(max_states=6, diamonds=True))
+def test_eda_closure_matches_the_square_scc_search_on_random_inputs(a):
+    _eda_closure_matches_the_square_scc_search(a)
+
+
+def _shifted(w):
+    """w's ids in _with_dead_state(a)."""
+    return EDAWitness(
+        state=w.state + 1,
+        label=w.label,
+        cycle_a=tuple(i + 1 for i in w.cycle_a),
+        cycle_b=tuple(i + 1 for i in w.cycle_b),
+    )
+
+
+def _with_dead_state(a):
+    """a behind an unreachable state 0, which moves every state and transition id up by one."""
+    edges = [(0, a.alphabet[0], 1)] + [(s + 1, x, d + 1) for s, x, d in a.transitions]
+    return validate(
+        a.alphabet, a.num_states + 1, [s + 1 for s in a.initial], [s + 1 for s in a.final], edges
+    )
+
+
+def test_eda_witnesses_are_the_square_scc_search_ones():
+    witnessed = 0
+    for a in [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS, *build_corpus100()]:
+        want = reference_eda.eda_witness(a)
+        assert eda_witness(a) == want
+        if want is not None:
+            assert classify(a, want_witness=True).witness == want
+            assert classify(_with_dead_state(a), want_witness=True).witness == _shifted(want)
+            witnessed += 1
+    assert witnessed == 23
+
+
+def test_eda_witness_of_the_scale_instance_is_the_square_scc_search_one():
+    a = build_scale_instance()
+    assert classify(a, want_witness=True).witness == reference_eda.eda_witness(a)
