@@ -25,7 +25,9 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     part of that marked cube between the SCCs of p and of q: the first
     coordinate stays in SCC(p), the third in SCC(q), and the second runs
     from one to the other (see _ida_sites), so it runs once per ordered
-    pair of cyclic SCCs.  Without exponential growth p and q lie in
+    pair of cyclic SCCs.  Its walks start from a closure of each cyclic
+    SCC's diagonal on the core (see _pair_closure), so only an EDA witness
+    builds a square.  Without exponential growth p and q lie in
     different SCCs, so classification needs no cube at all when fewer than
     two SCCs are cyclic.  The same region walk, started from one
     (p, p, q), is the point query behind witness verification, which only
@@ -229,16 +231,17 @@ def _epsilon_core(t: FiniteAutomaton) -> _Core:
         weight: dict[tuple[int, str, int], int] = {}
         finals: set[int] = set()
         for q in t.states:
-            # Reversed depth-first postorder of the ε-run DAG rooted at q, so
-            # every state is relaxed after all its ε-predecessors in the run.
-            post, _ = dfs_postorder((q,), eps_succ)
             run: dict[int, tuple[int, ...]] = {q: ()}
             count: dict[int, int] = {q: 1}
-            for r in reversed(post):
-                for dst, i in eps_arcs[r]:
-                    count[dst] = min(2, count.get(dst, 0) + count[r])
-                    if dst not in run:
-                        run[dst] = run[r] + (i,)
+            if eps_arcs[q]:
+                # Reversed depth-first postorder of the ε-run DAG rooted at q,
+                # so every state is relaxed after all its ε-predecessors.
+                post, _ = dfs_postorder((q,), eps_succ)
+                for r in reversed(post):
+                    for dst, i in eps_arcs[r]:
+                        count[dst] = min(2, count.get(dst, 0) + count[r])
+                        if dst not in run:
+                            run[dst] = run[r] + (i,)
             if any(r in t.final for r in run):
                 finals.add(q)
             for r in run:
@@ -499,9 +502,33 @@ def _region_cube(
     return ids, arcs, marked, parents
 
 
-def _ida_sites(
-    core: _Core, pairs: Iterable[tuple[int, int]], same_scc: bool
-) -> set[tuple[int, int]]:
+def _pair_closure(core: _Core, states: Sequence[int]) -> list[int]:
+    """The closure of the diagonal {(p, p) : p ∈ C₁} of a cyclic SCC C₁.
+
+    A pair (x, y) is coded x·n + y.  A move reads one symbol on both
+    coordinates: x along the inner arcs of C₁, y along any arc of the core,
+    so x stays in C₁ and y in reach(C₁).  Codes come in discovery order.
+    """
+    n, inner, succ = core.n, core.inner, core.succ
+    closed = [p * n + p for p in states]
+    seen = set(closed)
+    for code in closed:  # closed grows while it is walked
+        x, y = divmod(code, n)
+        ys = succ[y]
+        for label, x2s in inner[x].items():
+            y2s = ys.get(label)
+            if y2s is None:
+                continue
+            for x2 in x2s:
+                base = x2 * n
+                for y2 in y2s:
+                    if (c := base + y2) not in seen:
+                        seen.add(c)
+                        closed.append(c)
+    return closed
+
+
+def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]]:
     """IDA pairs of the ε-free core, in its own ids, by the marked-cube criterion.
 
     The marked cube adds a marker edge from every (p, q, q) to (p, p, q),
@@ -512,52 +539,61 @@ def _ida_sites(
     every cube move reads a symbol; each middle coordinate follows a marker
     (so it is reachable from C₁) and precedes the next one (so it reaches
     C₃).  The search therefore runs once per ordered pair (C₁, C₃) of
-    cyclic SCCs, on the region C₁ × (reach(C₁) ∩ coreach(C₃)) × C₃
-    explored from (p, p, q), with one Tarjan pass over the region and its
-    markers.  Its sites are exactly those of the trimmed marked cube: a
-    cube path (p, p, q) → (p, q, q) reads a word w with p → p, p → q and
-    q → q, so (p, p, q) is reached from an initial triple by u·w and
-    (p, q, q) reaches a final one by w·v, where u leads from an initial
-    state to p and v from q to a final one.  So the exploration starts
-    only from the (p, p, q) of the trimmed cube, which are those whose
-    (p, q) is a state pair of the core's trimmed square: pairs must hold
-    at least these, and then the closure holds only triples of the
-    trimmed cube's accessible part (a deterministic core, whose square is
-    its diagonal, needs no exploration at all).  The same argument puts
-    every path (p, p, q) → (p, q, q) in the trimmed cube and in the region,
-    which is why _site_walk finds the witness paths there.
+    cyclic SCCs, on the region C₁ × (reach(C₁) ∩ coreach(C₃)) × C₃, with
+    one Tarjan pass over the region and its markers.
+
+    The region walks start from (p, p, q) for every pair (p, q), p != q,
+    q ∈ C₃, in the _pair_closure of C₁'s diagonal, computed once per C₁ and
+    shared by all its C₃; no square is built.  These starts are exact:
+      * every site's start is among them: the site's word w leads p → p
+        and p → q, so (p, p) → (p, q) in the closure;
+      * every marker target is a start, as the Tarjan pass needs: a region
+        move takes (x, y, z) to (x′, y′, z′) by a closure move from (x, z)
+        to (x′, z′), so a marker source (x, y, y) reached from a start has
+        (x, y) in the closure, and its target (x, x, y) is a start;
+      * extra starts are harmless: a marker (p, q, q) → (p, p, q) inside
+        an SCC of the region is a site whichever start led there, since
+        around its cycle, on the word w read, the first and third
+        coordinates loop at p and q, and the first coordinate's path up to
+        the last marker, continued by the middle coordinate's last leg,
+        leads p → q.
+    Every start is accessible in the cube, since (p, p) → (x, y) on w gives
+    (p, p, p) → (x, x, y), and every path (p, p, q) → (p, q, q) lies in the
+    region, which is why _site_walk finds the witness paths there.
 
     Same-SCC pairs (C₁ = C₃) are searched only when same_scc is true;
     without exponential growth no site joins two states of one SCC.
     """
-    n, members = core.n, core.members
+    n, members, comp = core.n, core.members, core.comp
     cyclic = [c for c, states in enumerate(members) if core.inner[states[0]]]
     if len(cyclic) < (1 if same_scc else 2):
         return set()
     down = {c: reachable(members[c], core.forward) for c in cyclic}
     up = {c: reachable(members[c], core.backward) for c in cyclic}
-    paired = {p * n + q for p, q in pairs if p != q}
     sites: set[tuple[int, int]] = set()
     for c1 in cyclic:
-        for c3 in cyclic:
-            if (c3 == c1 and not same_scc) or members[c3][0] not in down[c1]:
+        starts: dict[int, list[int]] = {
+            c3: []
+            for c3 in cyclic
+            if (c3 != c1 or same_scc) and members[c3][0] in down[c1]
+        }
+        if not starts:
+            continue
+        for code in _pair_closure(core, members[c1]):
+            p, q = divmod(code, n)
+            if p != q and (region := starts.get(comp[q])) is not None:
+                region.append((p * n + p) * n + q)
+        for c3, region in starts.items():
+            if not region:
                 continue
-            starts = [
-                (p * n + p) * n + q
-                for p in members[c1]
-                for q in members[c3]
-                if p * n + q in paired
-            ]
-            if not starts:
-                continue
-            ids, arcs, marked, _ = _region_cube(core, down[c1] & up[c3], starts)
+            ids, arcs, marked, _ = _region_cube(core, down[c1] & up[c3], region)
             markers = []
             for node, x, y in marked:
                 target = ids[(x * n + x) * n + y]  # (x, x, y) is a start
                 arcs[node].append(target)
                 markers.append((node, target, (x, y)))
-            comp, _ = strongly_connected_components(len(arcs), arcs)
-            sites.update(pair for s, t, pair in markers if comp[s] == comp[t])
+            scc, _ = strongly_connected_components(len(arcs), arcs)
+            sites.update(pair for s, t, pair in markers if scc[s] == scc[t])
     return sites
 
 
@@ -565,7 +601,7 @@ def ida_criterion(a: FiniteAutomaton) -> bool:
     """True iff path counts grow without bound (polynomially or worse)."""
     _require_analyzable(a)
     core = _epsilon_core(a)
-    return core.multiplicity or bool(_ida_sites(core, _square(core.fa).components, True))
+    return core.multiplicity or bool(_ida_sites(core, True))
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
@@ -579,7 +615,7 @@ def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
     _require_analyzable(a)
     core = _epsilon_core(a)
     order = core.order
-    sites = _ida_sites(core, _square(core.fa).components, True)
+    sites = _ida_sites(core, True)
     return frozenset((order[p], order[q]) for p, q in sites)
 
 
@@ -701,17 +737,18 @@ def _growth(t: FiniteAutomaton, want_witness: bool) -> tuple[int | None, DPAWitn
     decides on the core alone, so no product is built then; else (degree,
     DPA witness), the witness only if want_witness.  The sites, all between
     two distinct SCCs once EDA is excluded, come from the SCC-pair regions
-    of the core's cube, started from the state pairs of t's square.
+    of the core's cube, started from the closure of each cyclic SCC's
+    diagonal (_pair_closure), so this path builds no product.  Those starts
+    are exact (proof in _ida_sites): a site's word leads p → p and p → q,
+    so (p, q) is in the closure of SCC(p)'s diagonal; every marker target
+    is a start, since region moves are closure moves on the first and
+    third coordinates; and a marker inside a region SCC is a site
+    whichever start led there.
     """
     core = _epsilon_core(t)
     if _eda_closure(core):
         return None, None
-    # t's square pairs hold the core's: the core's states are t-states, and
-    # a word leading to two of them, or from both to final states, in the
-    # core does so in t
-    back = core.back
-    pairs = [(back[x], back[y]) for x, y in _square(t).components if x in back and y in back]
-    return _dpa_impl(core, _ida_sites(core, pairs, False), want_witness)
+    return _dpa_impl(core, _ida_sites(core, False), want_witness)
 
 
 def dpa(a: FiniteAutomaton) -> int:

@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from artifact.analysis import (
@@ -12,6 +12,7 @@ from artifact.analysis import (
     EDAWitness,
     _epsilon_core,
     _ida_sites,
+    _pair_closure,
     classify,
     dpa,
     dpa_with_witness,
@@ -26,8 +27,9 @@ from artifact.analysis import (
     verify_witness,
 )
 from artifact.core import EPSILON, trim, validate
+from artifact.entropy import entropy_report
 from artifact.errors import EpsilonCycleInput, ExponentiallyAmbiguousInput, NotTrim
-from artifact.fixtures import EX_EPS, EX_EXP, EX_FIN2, EX_POLY1, EX_POLY2
+from artifact.fixtures import EX_EPS, EX_EXP, EX_FIN2, EX_POLY1, EX_POLY2, EX_POLY2P
 from artifact.oracle import (
     count_paths,
     eliminate_epsilon_transition,
@@ -35,7 +37,7 @@ from artifact.oracle import (
     relabel_states,
     reverse,
 )
-from artifact.product import cube, square
+from artifact.product import cube
 
 import reference_eda
 import reference_sites
@@ -303,8 +305,7 @@ def tarjan_passes(monkeypatch):
 
 def test_classify_runs_one_tarjan_pass_over_the_core(tarjan_passes):
     assert classify(EX_POLY2, want_witness=True).degree == 2
-    # the core (3 states), then the three SCC-pair regions; the square,
-    # whose pairs only start the regions, gets no SCC pass
+    # the core (3 states), then the three SCC-pair regions
     assert tarjan_passes == [3, 2, 3, 2]
 
 
@@ -328,12 +329,21 @@ def _ladder(k):
     return validate(("a",), k, [0], [k - 1], edges)
 
 
-def test_classify_builds_one_square_and_no_cube(product_builds):
+def test_classify_builds_a_square_only_for_an_eda_witness(product_builds):
     assert classify(EX_EXP, want_witness=True).witness is not None
     assert product_builds == ["square"]
     product_builds.clear()
     assert classify(EX_POLY2, want_witness=True).degree == 2
-    assert product_builds == ["square"]
+    assert product_builds == []
+
+
+def test_polynomial_growth_is_decided_without_a_product(product_builds):
+    a = EX_POLY2P.skeleton
+    assert dpa(a) == 2
+    assert ida_criterion(a) and ida_pairs(a)
+    report = entropy_report(EX_POLY2P)
+    assert (report.ambiguity, report.dpa) == (P, 2)
+    assert product_builds == []
 
 
 def test_exponential_growth_is_decided_without_a_product(product_builds):
@@ -407,23 +417,26 @@ def test_ida_witness_on_a_240_state_chain_runs_in_time():
 
 
 def _sites_match_the_reference(a, exponential):
-    """The region search finds the full marked cube's sites, given the core's
-    square pairs or any superset of them (here: every pair)."""
+    """The region search, started from the per-SCC diagonal closures, finds
+    the full marked cube's sites, each of them in the closure of SCC(p)'s
+    diagonal.  Returns how many sites join two SCCs."""
     core = _epsilon_core(trim(a))
     want = reference_sites._ida_sites(cube(core.fa))
-    every_pair = list(itertools.product(core.fa.states, repeat=2))
-    for pairs in (square(core.fa).components, every_pair):
-        assert _ida_sites(core, pairs, True) == want
-        if not exponential:
-            assert _ida_sites(core, pairs, False) == want
+    assert _ida_sites(core, True) == want
+    if not exponential:
+        assert _ida_sites(core, False) == want
+    n, members, comp = core.n, core.members, core.comp
+    closed = {c: set(_pair_closure(core, members[c])) for c in {comp[p] for p, _ in want}}
+    assert all(p * n + q in closed[comp[p]] for p, q in want)
+    return sum(comp[p] != comp[q] for p, q in want)
 
 
 def test_region_sites_match_the_full_cube_sites():
-    cases = 0
-    for a in [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS, *build_corpus100()]:
-        _sites_match_the_reference(a, classify(a).kind == E)
-        cases += 1
-    assert cases == 105
+    fixtures = [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS]
+    joining = sum(_sites_match_the_reference(a, classify(a).kind == E) for a in fixtures)
+    corpus = build_corpus100()
+    joining += sum(_sites_match_the_reference(a, classify(a).kind == E) for a in corpus)
+    assert len(fixtures) + len(corpus) == 105 and joining > 0
 
 
 @st.composite
@@ -449,6 +462,13 @@ def _small_epsilon_nfas(draw, max_states=5, diamonds=False):
 @given(a=_small_epsilon_nfas())
 def test_region_sites_match_the_full_cube_sites_on_random_inputs(a):
     _sites_match_the_reference(a, eda_criterion(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_small_epsilon_nfas(max_states=6, diamonds=True))
+def test_region_sites_match_the_full_cube_sites_on_random_diamond_inputs(a):
+    # few small automata have a site joining two SCCs; steer towards them
+    target(float(_sites_match_the_reference(a, eda_criterion(a))))
 
 
 def _witnesses_match_the_reference(a, identical):
