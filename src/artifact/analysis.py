@@ -8,11 +8,11 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     label, i.e. the square A ∩ A has a strongly connected component
     containing both a diagonal state (p, p) and an off-diagonal (q, q').
     It is decided on the ε-free core of A (see below): either two ε-runs
-    fold onto one core transition on a cycle, or, per SCC C of the core,
-    the closure of C's diagonal in C × C steps from an off-diagonal pair
-    back into the diagonal (see _eda_closure).  The closure stops at the
-    first such step, and deciding EXPONENTIAL builds no product; only an
-    EDA witness is read off the SCCs of the whole square.
+    fold onto one core transition on a cycle, or, per cyclic SCC C of the
+    core, the closure of C's diagonal steps from an off-diagonal pair back
+    into the diagonal (see _pair_closure).  The closure stops at the first
+    such step, and deciding EXPONENTIAL builds no product; only an EDA
+    witness is read off the SCCs of the whole square.
   * Unbounded (infinite) ambiguity iff two states p ≠ q have same-labeled
     cycles joined by a same-labeled path that cannot be slid into one
     another.  Paths that differ only in how an ε-run is split around a
@@ -25,11 +25,10 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     part of that marked cube between the SCCs of p and of q: the first
     coordinate stays in SCC(p), the third in SCC(q), and the second runs
     from one to the other (see _ida_sites), so it runs once per ordered
-    pair of cyclic SCCs.  Its walks start from a closure of each cyclic
-    SCC's diagonal on the core (see _pair_closure), so only an EDA witness
-    builds a square.  Without exponential growth p and q lie in
-    different SCCs, so classification needs no cube at all when fewer than
-    two SCCs are cyclic.  The same region walk, started from one
+    pair of cyclic SCCs.  Its walks start from those same closures, so
+    only an EDA witness builds a square.  Without exponential growth p and
+    q lie in different SCCs, so classification needs no cube at all when
+    fewer than two SCCs are cyclic.  The same region walk, started from one
     (p, p, q), is the point query behind witness verification, which only
     asks whether it reaches (p, q, q), and behind ida_witness, which alone
     reads the path back (see _site_walk); the full cube is never built.
@@ -182,7 +181,7 @@ class _Core(NamedTuple):
     strongly connected.  Repeating that transition's cycle doubles the
     number of t's paths per turn, so `multiplicity`, which reports this,
     decides EXPONENTIAL by itself; without it t grows exponentially iff
-    the core does (see _eda_closure).  It is read off the core's own SCCs,
+    the core does (see _pair_closure).  It is read off the core's own SCCs,
     with no pass over the untrimmed fold: t is trim, so every state on a
     cycle of the fold is reachable there (a t-path to it, continued along
     the cycle's first step, folds into a path onto the cycle) and
@@ -301,60 +300,15 @@ def _lift_path(lifts: tuple[tuple[int, ...], ...], path: Iterable[int]) -> tuple
     return tuple(i for step in path for i in lifts[step])
 
 
-def _eda_closure(core: _Core) -> bool:
-    """True iff the automaton t behind core grows exponentially (EDA).
-
-    t's path counts and the core's agree within a constant factor unless
-    multiplicity is set, which alone makes t exponential (see _Core).  So t
-    is EDA iff multiplicity holds or the core is EDA, i.e. the core's square
-    has an SCC holding a diagonal and an off-diagonal state.
-
-    That square is neither built nor Tarjan-ed.  For each cyclic SCC C of
-    the core, the closure of its diagonal {(p, p) : p ∈ C} under
-    same-labeled pairs of C's inner arcs, with (x, y) coded x·n + y, stops
-    at the first step from an off-diagonal (x, y) into the diagonal; the
-    core is ε-free, so no filter coordinate is needed.  Such a step exists
-    iff the core is EDA:
-      * all of C's diagonal lies in one SCC of the square, since the
-        diagonal of a path inside C links any two of its states;
-      * an EDA SCC holding (p, p) lies in C × C for the C ∋ p, since its
-        cycles project onto cycles through p, so the closure reaches its
-        states, and on its path from an off-diagonal state back to (p, p)
-        the last off-diagonal state steps into the diagonal;
-      * conversely, a step from (x, y), reached from some (p, p), into
-        (d, d) closes the cycle (p, p) → (x, y) → (d, d) → (p, p), whose
-        states are useful in the square because the core is trim.
-    """
-    if core.multiplicity:
-        return True
-    n, inner = core.n, core.inner
-    for states in core.members:
-        if not inner[states[0]]:
-            continue
-        seen = {p * n + p for p in states}
-        stack = list(seen)
-        while stack:
-            x, y = divmod(stack.pop(), n)
-            ys = inner[y]
-            for label, x2s in inner[x].items():
-                y2s = ys.get(label)
-                if y2s is None:
-                    continue
-                for x2 in x2s:
-                    for y2 in y2s:
-                        if x2 == y2:
-                            if x != y:
-                                return True
-                        elif (c := x2 * n + y2) not in seen:
-                            seen.add(c)
-                            stack.append(c)
-    return False
-
-
 def eda_criterion(a: FiniteAutomaton) -> bool:
     """True iff one state carries two distinct cycles sharing a label."""
     _require_analyzable(a)
-    return _eda_closure(_epsilon_core(a))
+    core = _epsilon_core(a)
+    return core.multiplicity or any(
+        _pair_closure(core, states, True) is None
+        for states in core.members
+        if core.inner[states[0]]
+    )
 
 
 def eda_witness(a: FiniteAutomaton) -> EDAWitness | None:
@@ -502,18 +456,41 @@ def _region_cube(
     return ids, arcs, marked, parents
 
 
-def _pair_closure(core: _Core, states: Sequence[int]) -> list[int]:
-    """The closure of the diagonal {(p, p) : p ∈ C₁} of a cyclic SCC C₁.
+def _pair_closure(core: _Core, states: Sequence[int], stop: bool = False) -> list[int] | None:
+    """The closure of the diagonal {(p, p) : p ∈ C} of a cyclic SCC C.
 
     A pair (x, y) is coded x·n + y.  A move reads one symbol on both
-    coordinates: x along the inner arcs of C₁, y along any arc of the core,
-    so x stays in C₁ and y in reach(C₁).  Codes come in discovery order.
+    coordinates: x along the inner arcs of C, y along any arc of the core,
+    so x stays in C and y in reach(C); the core is ε-free, so no filter
+    coordinate is needed.  Codes come in the order a depth-first walk
+    discovers them.  With stop set, the walk returns None at the first move
+    from an off-diagonal pair into the diagonal.
+
+    The automaton t behind the core grows exponentially (EDA) iff
+    multiplicity is set (see _Core) or such a move exists for some C,
+    i.e. iff the core's square has an SCC holding a diagonal and an
+    off-diagonal state; that square is neither built nor Tarjan-ed:
+      * the closure restricted to C × C is the closure of the diagonal
+        under same-labeled pairs of C's inner arcs, because a y-path that
+        leaves C never comes back;
+      * every move from an off-diagonal pair into the diagonal has y ∈ C,
+        because y is reached from C and steps into C;
+      * all of C's diagonal lies in one SCC of the square, since the
+        diagonal of a path inside C links any two of its states;
+      * an EDA SCC holding (p, p) lies in C × C for the C ∋ p, since its
+        cycles project onto cycles through p, so the closure reaches its
+        states, and on its path from an off-diagonal state back to (p, p)
+        the last off-diagonal state steps into the diagonal;
+      * conversely, a move from (x, y), reached from some (p, p), into
+        (d, d) closes the cycle (p, p) → (x, y) → (d, d) → (p, p), whose
+        states are useful in the square because the core is trim.
     """
     n, inner, succ = core.n, core.inner, core.succ
     closed = [p * n + p for p in states]
     seen = set(closed)
-    for code in closed:  # closed grows while it is walked
-        x, y = divmod(code, n)
+    stack = list(closed)
+    while stack:
+        x, y = divmod(stack.pop(), n)
         ys = succ[y]
         for label, x2s in inner[x].items():
             y2s = ys.get(label)
@@ -525,10 +502,13 @@ def _pair_closure(core: _Core, states: Sequence[int]) -> list[int]:
                     if (c := base + y2) not in seen:
                         seen.add(c)
                         closed.append(c)
+                        stack.append(c)
+                    elif stop and x2 == y2 and x != y:
+                        return None
     return closed
 
 
-def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]]:
+def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]] | None:
     """IDA pairs of the ε-free core, in its own ids, by the marked-cube criterion.
 
     The marked cube adds a marker edge from every (p, q, q) to (p, p, q),
@@ -562,10 +542,18 @@ def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]]:
     region, which is why _site_walk finds the witness paths there.
 
     Same-SCC pairs (C₁ = C₃) are searched only when same_scc is true;
-    without exponential growth no site joins two states of one SCC.
+    without exponential growth no site joins two states of one SCC.  When
+    same_scc is false the closures stop at a move into the diagonal, and
+    the search returns None as soon as one does: the core then grows
+    exponentially (see _pair_closure).
     """
     n, members, comp = core.n, core.members, core.comp
     cyclic = [c for c, states in enumerate(members) if core.inner[states[0]]]
+    closures: dict[int, list[int]] = {}
+    for c in cyclic:
+        if (closed := _pair_closure(core, members[c], not same_scc)) is None:
+            return None
+        closures[c] = closed
     if len(cyclic) < (1 if same_scc else 2):
         return set()
     down = {c: reachable(members[c], core.forward) for c in cyclic}
@@ -579,7 +567,7 @@ def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]]:
         }
         if not starts:
             continue
-        for code in _pair_closure(core, members[c1]):
+        for code in closures[c1]:
             p, q = divmod(code, n)
             if p != q and (region := starts.get(comp[q])) is not None:
                 region.append((p * n + p) * n + q)
@@ -733,22 +721,17 @@ def _dpa_impl(
 def _growth(t: FiniteAutomaton, want_witness: bool) -> tuple[int | None, DPAWitness | None]:
     """Growth of a trim, ε-cycle-free automaton from its ε-free core.
 
-    Returns (None, None) when growth is exponential, which _eda_closure
-    decides on the core alone, so no product is built then; else (degree,
-    DPA witness), the witness only if want_witness.  The sites, all between
-    two distinct SCCs once EDA is excluded, come from the SCC-pair regions
-    of the core's cube, started from the closure of each cyclic SCC's
-    diagonal (_pair_closure), so this path builds no product.  Those starts
-    are exact (proof in _ida_sites): a site's word leads p → p and p → q,
-    so (p, q) is in the closure of SCC(p)'s diagonal; every marker target
-    is a start, since region moves are closure moves on the first and
-    third coordinates; and a marker inside a region SCC is a site
-    whichever start led there.
+    Returns (None, None) when growth is exponential, which multiplicity and
+    the diagonal closures of _ida_sites decide on the core alone; else
+    (degree, DPA witness), the witness only if want_witness.  The sites,
+    all between two distinct SCCs once EDA is excluded, come from the
+    SCC-pair regions of the core's cube (see _ida_sites for why their
+    starts are exact), so this path builds no product.
     """
     core = _epsilon_core(t)
-    if _eda_closure(core):
+    if core.multiplicity or (sites := _ida_sites(core, False)) is None:
         return None, None
-    return _dpa_impl(core, _ida_sites(core, False), want_witness)
+    return _dpa_impl(core, sites, want_witness)
 
 
 def dpa(a: FiniteAutomaton) -> int:

@@ -3,16 +3,18 @@
 The headline quantity is H(A) = −Σ_x ⟦A⟧(x)·ln ⟦A⟧(x).  Summing the same
 expression per accepting path instead of per string gives S(A), which the
 pair semiring computes in one shortest-distance pass.  S(A) equals H(A)
-exactly when no string has two accepting paths; otherwise it overshoots by
-at most the log of the number of paths per string, which the ambiguity
-classification turns into explicit brackets:
+exactly when no string has two accepting paths; otherwise it overshoots,
+and H ≤ S always holds.  The lower ends that the ambiguity classification
+adds are estimates, not proven bounds:
 
-    finitely ambiguous:      S − ln k      ≤ H ≤ S
-    polynomially ambiguous:  S − d·ln L    ≤ H ≤ S   (for expected length L > 1)
+    finitely ambiguous:      S − ln k      (k observed on strings of at most 10 symbols)
+    polynomially ambiguous:  S − d·ln L    (for expected length L > 1)
 
-with k the largest path count actually observed and d the degree of
-polynomial growth.  A truncated brute-force enumeration provides ground
-truth for small instances.
+with d the degree of polynomial growth.  A longer string can carry more
+than k paths, and S − d·ln L drops the constant C of the path-count growth
+C·nᵈ; when L ≤ 1 the report gives [S, S] and sets vacuous_bound.  A
+truncated brute-force enumeration provides ground truth for small
+instances.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ import pytest
 
 from artifact.analysis import AmbiguityClass, classify
 from artifact.entropy import brute_entropy, validate_probabilistic
+from artifact.errors import MassNotOne, NonConvergent
 from artifact.oracle import random_automaton
 from artifact.weighted import WeightedAutomaton, validate_weighted
 
@@ -45,6 +46,11 @@ DEEP_POLY_SEED_BASE = 700_000
 PROB_BRUTE_LEN = 12
 PROB_RESIDUAL_CAP = 1e-9
 
+# draws each corpus loop may make before it fails instead of hanging; the
+# loops fill their quotas after 1,609 (corpus100), 2,900 (its deep members)
+# and 595 (prob50) draws
+MAX_DRAWS = 10_000
+
 
 @lru_cache(maxsize=None)
 def build_corpus100():
@@ -52,6 +58,11 @@ def build_corpus100():
     counts: Counter = Counter()
     s = 0
     while len(picked) < 100 - DEEP_POLY_COUNT:
+        if s == MAX_DRAWS:
+            unfilled = {
+                k.value: f"{counts[k]} of {q}" for k, q in CORPUS_QUOTA.items() if counts[k] < q
+            }
+            raise RuntimeError(f"corpus100: {MAX_DRAWS} draws left quotas unfilled: {unfilled}")
         states = 3 + s % 6
         symbols = 1 + s % 2
         density = (1.2 + 0.3 * (s % 3)) / states
@@ -67,6 +78,11 @@ def build_corpus100():
     s = 0
     deep = 0
     while deep < DEEP_POLY_COUNT:
+        if s == MAX_DRAWS:
+            raise RuntimeError(
+                f"corpus100: {MAX_DRAWS} draws found {deep} of {DEEP_POLY_COUNT} "
+                "members of degree >= 2"
+            )
         states = 5 + s % 4
         a = random_automaton(states, 1, 1.25 / states, 0.0, seed=DEEP_POLY_SEED_BASE + s)
         s += 1
@@ -127,6 +143,8 @@ def build_prob50():
     corpus = []
     s = 0
     while len(corpus) < 50:
+        if s == MAX_DRAWS:
+            raise RuntimeError(f"prob50: {MAX_DRAWS} draws found {len(corpus)} of 50 members")
         states = 3 + s % 5
         skel = random_automaton(
             states, 1 + s % 2, (1.0 + 0.2 * (s % 3)) / states,
@@ -137,7 +155,7 @@ def build_prob50():
             continue
         try:
             wa = validate_probabilistic(_stochastic_over(skel, PROB_WEIGHT_SEED_BASE + s))
-        except Exception:
+        except (MassNotOne, NonConvergent):
             continue
         h, residual = brute_entropy(wa, PROB_BRUTE_LEN)
         if residual >= PROB_RESIDUAL_CAP:
