@@ -11,8 +11,9 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     fold onto one core transition on a cycle, or, per cyclic SCC C of the
     core, the closure of C's diagonal steps from an off-diagonal pair back
     into the diagonal (see _pair_closure).  The closure stops at the first
-    such step, and deciding EXPONENTIAL builds no product; only an EDA
-    witness is read off the SCCs of the whole square.
+    such step, and deciding EXPONENTIAL builds no product.  Only an EDA
+    witness reads the square: the SCCs of its accessible part, as the
+    product worklist leaves it, untrimmed (see _find_eda_scc).
   * Unbounded (infinite) ambiguity iff two states p ≠ q have same-labeled
     cycles joined by a same-labeled path that cannot be slid into one
     another.  Paths that differ only in how an ε-run is split around a
@@ -26,12 +27,13 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     coordinate stays in SCC(p), the third in SCC(q), and the second runs
     from one to the other (see _ida_sites), so it runs once per ordered
     pair of cyclic SCCs.  Its walks start from those same closures, so
-    only an EDA witness builds a square.  Without exponential growth p and
-    q lie in different SCCs, so classification needs no cube at all when
-    fewer than two SCCs are cyclic.  The same region walk, started from one
-    (p, p, q), is the point query behind witness verification, which only
-    asks whether it reaches (p, q, q), and behind ida_witness, which alone
-    reads the path back (see _site_walk); the full cube is never built.
+    only an EDA witness explores a square.  Without exponential growth p
+    and q lie in different SCCs, so classification needs no cube at all
+    when fewer than two SCCs are cyclic.  The same region walk, started
+    from one (p, p, q), is the point query behind witness verification,
+    which only asks whether it reaches (p, q, q), and behind ida_witness,
+    which alone reads the path back (see _site_walk); the full cube is
+    never built.
   * The polynomial degree is the longest chain of such (p, q) sites along a
     path of the core's condensation.
 
@@ -48,7 +50,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -70,7 +71,7 @@ from .errors import (
     NotTrim,
 )
 from .graphs import dfs_postorder, reachable, strongly_connected_components
-from .product import ProductAutomaton, _square
+from .product import _explore
 
 
 class AmbiguityClass(Enum):
@@ -314,26 +315,57 @@ def eda_criterion(a: FiniteAutomaton) -> bool:
 def eda_witness(a: FiniteAutomaton) -> EDAWitness | None:
     """Extract two distinct same-labeled cycles, or None if there are none."""
     _require_analyzable(a)
-    return _find_eda_scc(a, _square(a))
+    return _find_eda_scc(a)
 
 
-def _find_eda_scc(t: FiniteAutomaton, sq: ProductAutomaton) -> EDAWitness | None:
-    """The cycle pair of an SCC of t's square sq holding a diagonal and an
+def _find_eda_scc(t: FiniteAutomaton) -> EDAWitness | None:
+    """The cycle pair of an SCC of t's square holding a diagonal and an
     off-diagonal state, or None when there is no such SCC.
 
-    One Tarjan pass picks the SCC with the lowest component id, and in it the
-    lowest diagonal and off-diagonal state.  Two breadth-first searches
-    inside that SCC, from the diagonal state to the off-diagonal one and
-    back, close a cycle through (p, p) whose projections are two distinct
-    same-labeled cycles at p.
+    The SCC is the one with the lowest component id, and in it the lowest
+    diagonal and off-diagonal state, with the square trimmed and its
+    transitions sorted as product.square builds it.  Two breadth-first
+    searches inside that SCC, from the diagonal state to the off-diagonal
+    one and back, each state's successors by label, then target, close a
+    cycle through (p, p) whose projections are two distinct same-labeled
+    cycles at p.
+
+    The search runs on the accessible square as product._explore leaves
+    it, with one Tarjan pass and no trim; a square state is dead when it
+    cannot reach a final one.  The dead states leave the witness unchanged:
+      * a dead state reaches no live one, so the depth-first walk
+        completes every dead SCC before it returns to a live state, and no
+        dead state is on Tarjan's stack when a live low-link is updated;
+        the live DFS order and the completion order of the live SCCs,
+        which sets their component ids, stay as in the trimmed square;
+      * trimming renumbers monotonically, so it keeps the order of the live
+        states and, by the sort key (label rank, target), of each state's
+        successors, which is all the breadth-first searches read;
+      * no dead state shares an SCC with both a diagonal and an
+        off-diagonal state: (p, p, F0) is live, since both sides can run
+        along one path from p to a final state, and in a dead (p, p, F1)
+        or (p, p, F2) p has no symbol transition (both sides could take it
+        to a live (p′, p′, F0)), so one side stays at p while the other
+        takes ε-steps, which never return, and it lies on no cycle.
     """
-    fa = sq.underlying
-    succ = _adjacency(fa)
-    comp, count = strongly_connected_components(fa.num_states, succ)
+    labels, w1, width, codes, _, keys, derivations, ends = _explore(t, t)
+    n = len(codes)
+    if n > 3 * t.num_states * t.num_states:
+        raise InternalInvariantViolation("square grew past 3·|Q|² states")
+    # one sort orders every state's run of edges by (label rank, target),
+    # and the runs stay where they were: the edges out of s sit from
+    # first[s] to ends[s] in ranked as in keys.  Successor tuples of ints
+    # leave the cyclic GC's lists at their first collection; lists would
+    # stay there and make it walk the whole graph again and again.
+    ranked = sorted(keys)
+    first = [0, *ends[:-1]]
+    dsts = tuple([k % width for k in ranked])
+    succ = [dsts[start:end] for start, end in zip(first, ends)]
+    comp, count = strongly_connected_components(n, succ)
     diag = [-1] * count
     off = [-1] * count
-    for s, (q1, q2) in enumerate(sq.components):
-        if q1 == q2:
+    for s, code in enumerate(codes):
+        if code // w1 == code % w1 // 3:
             if diag[comp[s]] < 0:
                 diag[comp[s]] = s
         elif off[comp[s]] < 0:
@@ -341,20 +373,22 @@ def _find_eda_scc(t: FiniteAutomaton, sq: ProductAutomaton) -> EDAWitness | None
     found = next((c for c in range(count) if diag[c] >= 0 and off[c] >= 0), None)
     if found is None:
         return None
-    # transitions are sorted by source, so the k-th successor of s is
-    # reached by transition first[s] + k
-    first = list(accumulate(map(len, succ), initial=0))
     there = _bfs_transitions(succ, first, comp, diag[found], off[found])
     back = _bfs_transitions(succ, first, comp, off[found], diag[found])
     if there is None or back is None:
         raise InternalInvariantViolation("SCC members not mutually reachable")
-    loop = there + back
-    cycle_a = tuple(sq.derivations[i][0] for i in loop if sq.derivations[i][0] is not None)
-    cycle_b = tuple(sq.derivations[i][1] for i in loop if sq.derivations[i][1] is not None)
+    # an edge's derivation sits where its key sits in its source's run
+    loop = []
+    for i in there + back:
+        k = ranked[i]
+        src = k // width // len(labels)
+        loop.append(derivations[keys.index(k, first[src], ends[src])])
+    cycle_a = tuple(i1 for i1, _ in loop if i1 is not None)
+    cycle_b = tuple(i2 for _, i2 in loop if i2 is not None)
     if cycle_a == cycle_b:
         raise InternalInvariantViolation("projected cycles coincide")
     witness = EDAWitness(
-        state=sq.components[diag[found]][0],
+        state=codes[diag[found]] // w1,
         label=path_label(t, cycle_a),
         cycle_a=cycle_a,
         cycle_b=cycle_b,
@@ -365,9 +399,13 @@ def _find_eda_scc(t: FiniteAutomaton, sq: ProductAutomaton) -> EDAWitness | None
 
 
 def _bfs_transitions(
-    succ: list[list[int]], first: list[int], comp: list[int], start: int, goal: int
+    succ: Sequence[Sequence[int]], first: list[int], comp: list[int], start: int, goal: int
 ) -> list[int] | None:
-    """Shortest transition-index path start -> goal != start inside start's SCC, or None."""
+    """Shortest path start -> goal != start inside start's SCC, or None.
+
+    The path lists its edges as positions first[s] + k, for the k-th
+    successor of s.
+    """
     c = comp[start]
     parents: dict[int, tuple[int, int]] = {}
     queue = deque([start])
@@ -586,10 +624,15 @@ def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]] | None:
 
 
 def ida_criterion(a: FiniteAutomaton) -> bool:
-    """True iff path counts grow without bound (polynomially or worse)."""
+    """True iff path counts grow without bound (polynomially or worse).
+
+    Decided as _growth decides it: exponential growth is unbounded, and
+    without it no site joins two states of one SCC, so the same-SCC
+    regions are never walked.
+    """
     _require_analyzable(a)
     core = _epsilon_core(a)
-    return core.multiplicity or bool(_ida_sites(core, True))
+    return core.multiplicity or (sites := _ida_sites(core, False)) is None or bool(sites)
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
@@ -791,7 +834,7 @@ def _classify_trim(
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
     degree, witness = _growth(t, want_witness)
     if degree is None and want_witness:
-        witness = _find_eda_scc(t, _square(t))
+        witness = _find_eda_scc(t)
         if witness is None:
             raise InternalInvariantViolation("exponential growth without an EDA SCC")
     witness = _remap_witness(witness, maps)

@@ -18,19 +18,22 @@ Per composite state the generator considers four move kinds:
 The marking that motivates the move names is virtual: no self-loops are ever
 materialized and no labels are rewritten.
 
-One worklist kernel, _intersect, builds every product: intersect, square
-and both steps of cube.  It codes the composite state (q1, q2, f) as the
-integer (q1·|Q2| + q2)·3 + f, with the filter state Fk as k, and moves the
-filter by small integer tables read off _EPS_NEXT, which stays the one
-definition of the filter.  Labels are ranked with ε first and the symbols
-in sorted order, so each edge carries one integer sort key
-(src·#labels + rank)·width + dst, and no Transition or tuple is built for
-an edge until the product is assembled.  The order contract of the result:
-state ids number the co-accessible states in breadth-first discovery order
-(initial pairs first, in sorted order), and transitions are sorted by
-(src, label, dst) like those of any FiniteAutomaton, with ``derivations``
-in the same order.  Dropping the states that cannot reach a final one
-renumbers the rest monotonically, which keeps that sort.
+One worklist kernel, _explore, is under every product: intersect, square
+and both steps of cube, which _intersect finishes, and the EDA witness of
+analysis, which reads the worklist graph as it is.  It codes the composite
+state (q1, q2, f) as the integer (q1·|Q2| + q2)·3 + f, with the filter
+state Fk as k, and moves the filter by small integer tables read off
+_EPS_NEXT, which stays the one definition of the filter.  Labels are
+ranked with ε first and the symbols in sorted order, so each edge carries
+one integer sort key (src·#labels + rank)·width + dst, and no Transition
+or tuple is built for an edge until _intersect assembles the product, in
+one pass that drops the states that cannot reach a final one and sorts
+the edges by key.  The order contract of the result: state ids number
+the co-accessible states in breadth-first discovery order (initial pairs
+first, in sorted order), and transitions are sorted by (src, label, dst)
+like those of any FiniteAutomaton, with ``derivations`` in the same order.
+Dropping the states that cannot reach a final one renumbers the rest
+monotonically, which keeps that sort.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 from .core import EPSILON, FiniteAutomaton, Transition, has_epsilon_cycle, is_trim
 from .errors import EpsilonCycleInput, InternalInvariantViolation, NotTrim
@@ -139,8 +143,33 @@ def intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
     return _intersect(a1, a2)
 
 
-def _intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
-    """intersect() without the input checks, for operands already vetted."""
+class _Worklist(NamedTuple):
+    """The accessible part of a product, as _explore's worklist leaves it.
+
+    State s is the s-th composite state discovered, codes[s] its code
+    (q1·w1 + q2·3 + f); the first n_initial of them are the initial pairs.
+    Edge i has the sort key keys[i] = (src·len(labels) + label rank)·width
+    + dst and the component transition indices derivations[i] (None where
+    a side stayed put).  Edges leave states in discovery order, so the
+    edges out of s are those from ends[s − 1] (0 for s = 0) to ends[s].
+    """
+
+    labels: list[str]
+    w1: int
+    width: int
+    codes: list[int]
+    n_initial: int
+    keys: list[int]
+    derivations: list[tuple[int | None, int | None]]
+    ends: list[int]
+
+
+def _explore(a1: FiniteAutomaton, a2: FiniteAutomaton) -> _Worklist:
+    """The breadth-first worklist behind every product: its accessible part.
+
+    Composite states are numbered in discovery order, the initial pairs
+    first and in sorted order; nothing is trimmed or sorted yet.
+    """
     # labels ranked as the canonical transition order sorts them: ε ("")
     # first, then the symbols in sorted order
     labels = [EPSILON] + sorted({t.label for t in a1.transitions} - {EPSILON})
@@ -158,7 +187,7 @@ def _intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
             code = i1 * w1 + i2 * 3 + _F0
             ids[code] = len(codes)
             codes.append(code)
-    initial = range(len(codes))
+    n_initial = len(codes)
 
     # Per edge: its sort key (src·n_labels + label rank)·width + dst, and its
     # derivation.  Edges leave states in discovery order, so ends[s] closes
@@ -221,6 +250,14 @@ def _intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
         ends.append(len(keys))
         s += 1
 
+    return _Worklist(labels, w1, width, codes, n_initial, keys, derivations, ends)
+
+
+def _intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
+    """intersect() without the input checks, for operands already vetted."""
+    labels, w1, width, codes, n_initial, keys, derivations, ends = _explore(a1, a2)
+    n_labels = len(labels)
+
     # keep the co-accessible states; an edge survives iff its target does
     dsts = [k % width for k in keys]
     backward: list[list[int]] = [[] for _ in codes]
@@ -255,7 +292,7 @@ def _intersect(a1: FiniteAutomaton, a2: FiniteAutomaton) -> ProductAutomaton:
     underlying = FiniteAutomaton(
         alphabet=tuple(a1.alphabet) + tuple(x for x in a2.alphabet if x not in alphabet1),
         num_states=len(order),
-        initial=frozenset(new_id[s] for s in initial if new_id[s] >= 0),
+        initial=frozenset(new_id[s] for s in range(n_initial) if new_id[s] >= 0),
         final=frozenset(new_id[s] for s in final),
         transitions=transitions,
     )

@@ -258,17 +258,19 @@ def test_witness_dicts_are_json_shaped():
 
 @pytest.fixture
 def product_builds(monkeypatch):
-    """Every filtered intersection built, as 'square' (A ∩ A) or 'outer' (A² ∩ A)."""
-    from artifact import product
+    """Every run of the product worklist, the kernel under every filtered
+    intersection, as 'square' (A ∩ A) or 'outer' (A² ∩ A)."""
+    from artifact import analysis, product
 
     builds = []
-    build = product._intersect
+    build = product._explore
 
     def counting(a1, a2):
         builds.append("square" if a1 is a2 else "outer")
         return build(a1, a2)
 
-    monkeypatch.setattr(product, "_intersect", counting)
+    for module in (analysis, product):
+        monkeypatch.setattr(module, "_explore", counting)
     return builds
 
 
@@ -356,6 +358,35 @@ def test_exponential_growth_is_decided_without_a_product(product_builds):
     assert product_builds == []
 
 
+@pytest.fixture
+def region_walks(monkeypatch):
+    """The starts of every _region_cube walk that artifact.analysis makes."""
+    from artifact import analysis
+
+    walks = []
+    walk = analysis._region_cube
+
+    def counting(core, mid, starts):
+        walks.append(starts)
+        return walk(core, mid, starts)
+
+    monkeypatch.setattr(analysis, "_region_cube", counting)
+    return walks
+
+
+def test_ida_criterion_walks_no_region_on_exponential_growth(region_walks):
+    """Exponential growth is unbounded, so ida_criterion stops where the
+    diagonal closures find it, as classify does, and walks no region."""
+    a = next(
+        a for a in build_corpus100()
+        if classify(a).kind == E and not _epsilon_core(a).multiplicity
+    )
+    assert _ida_sites(_epsilon_core(a), True) and region_walks  # what it skips
+    region_walks.clear()
+    assert ida_criterion(a)
+    assert region_walks == []
+
+
 @pytest.mark.parametrize("a", [EX_POLY2, _ladder(5)], ids=["poly2", "ladder5"])
 def test_chain_verification_builds_no_product(product_builds, a):
     degree, witness = dpa_with_witness(a)
@@ -419,10 +450,12 @@ def test_ida_witness_on_a_240_state_chain_runs_in_time():
 def _sites_match_the_reference(a, exponential):
     """The region search, started from the per-SCC diagonal closures, finds
     the full marked cube's sites, each of them in the closure of SCC(p)'s
-    diagonal.  Returns how many sites join two SCCs."""
+    diagonal, and ida_criterion, which stops on exponential growth, agrees
+    with them.  Returns how many sites join two SCCs."""
     core = _epsilon_core(trim(a))
     want = reference_sites._ida_sites(cube(core.fa))
     assert _ida_sites(core, True) == want
+    assert ida_criterion(trim(a)) == (core.multiplicity or bool(want))
     if not exponential:
         assert _ida_sites(core, False) == want
     n, members, comp = core.n, core.members, core.comp
@@ -526,6 +559,26 @@ def test_eda_verdicts_match_the_square_scc_search():
 @given(a=_small_epsilon_nfas(max_states=6, diamonds=True))
 def test_eda_verdicts_match_the_square_scc_search_on_random_inputs(a):
     _eda_verdicts_match_the_square_scc_search(a)
+
+
+def test_eda_below_a_second_cyclic_scc_is_found():
+    """The EDA SCC {1, 2} (1 -a-> 1 and 1 -a-> 2 -a-> 1) lies below the
+    cyclic SCC {0}, so _ida_sites closes its diagonal first, not last, and
+    no ε-run folds: the closure alone must stop on it."""
+    a = validate(
+        ("a", "b"), 3, [0], [1],
+        [(0, "b", 0), (0, "a", 1), (1, "a", 1), (1, "a", 2), (2, "a", 1)],
+    )
+    core = _epsilon_core(a)
+    cyclic = [c for c, states in enumerate(core.members) if core.inner[states[0]]]
+    assert not core.multiplicity
+    assert cyclic == [core.comp[1], core.comp[0]]
+    assert classify(a).kind is E
+    assert eda_criterion(a)
+    want = reference_eda.eda_witness(a)
+    assert want is not None
+    assert classify(a, want_witness=True).witness == want
+    assert eda_witness(a) == want
 
 
 def _shifted(w):
