@@ -11,9 +11,11 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     fold onto one core transition on a cycle, or, per cyclic SCC C of the
     core, the closure of C's diagonal steps from an off-diagonal pair back
     into the diagonal (see _pair_closure).  The closure stops at the first
-    such step, and deciding EXPONENTIAL builds no product.  Only an EDA
-    witness reads the square: the SCCs of its accessible part, as the
-    product worklist leaves it, untrimmed (see _find_eda_scc).
+    such step, and deciding EXPONENTIAL builds no product.  _closures makes
+    this decision for every entry point; the IDA and DPA tests below are
+    defined only without exponential growth, and ida_pairs and dpa refuse
+    it.  Only an EDA witness reads the square: the SCCs of its accessible
+    part, as the product worklist leaves it, untrimmed (see _find_eda_scc).
   * Unbounded (infinite) ambiguity iff two states p ≠ q have same-labeled
     cycles joined by a same-labeled path that cannot be slid into one
     another.  Paths that differ only in how an ε-run is split around a
@@ -25,11 +27,11 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     (p, q, q)-states to (p, p, q)-states.  The site search builds only the
     part of that marked cube between the SCCs of p and of q: the first
     coordinate stays in SCC(p), the third in SCC(q), and the second runs
-    from one to the other (see _ida_sites), so it runs once per ordered
-    pair of cyclic SCCs.  Its walks start from those same closures, so
-    only an EDA witness explores a square.  Without exponential growth p
-    and q lie in different SCCs, so classification needs no cube at all
-    when fewer than two SCCs are cyclic.  The same region walk, started
+    from one to the other (see _ida_sites).  Without exponential growth p
+    and q lie in different SCCs, so the search runs once per ordered pair
+    of distinct cyclic SCCs, and needs no cube at all when fewer than two
+    SCCs are cyclic.  Its walks start from those same closures, so only an
+    EDA witness explores a square.  The same region walk, started
     from one (p, p, q), is the point query behind witness verification,
     which only asks whether it reaches (p, q, q), and behind ida_witness,
     which alone reads the path back (see _site_walk); the full cube is
@@ -157,14 +159,6 @@ def _require_analyzable(a: FiniteAutomaton) -> None:
         raise EpsilonCycleInput("analysis requires an ε-cycle-free automaton")
     if not is_trim(a):
         raise NotTrim("analysis requires a trim automaton")
-
-
-def _adjacency(fa: FiniteAutomaton) -> list[list[int]]:
-    """Per-state successors, each state's in the order of its transitions."""
-    adj: list[list[int]] = [[] for _ in fa.states]
-    for t in fa.transitions:  # the SCC passes over products; keep this loop bare
-        adj[t.src].append(t.dst)
-    return adj
 
 
 class _Core(NamedTuple):
@@ -304,12 +298,7 @@ def _lift_path(lifts: tuple[tuple[int, ...], ...], path: Iterable[int]) -> tuple
 def eda_criterion(a: FiniteAutomaton) -> bool:
     """True iff one state carries two distinct cycles sharing a label."""
     _require_analyzable(a)
-    core = _epsilon_core(a)
-    return core.multiplicity or any(
-        _pair_closure(core, states, True) is None
-        for states in core.members
-        if core.inner[states[0]]
-    )
+    return _closures(_epsilon_core(a)) is None
 
 
 def eda_witness(a: FiniteAutomaton) -> EDAWitness | None:
@@ -494,15 +483,16 @@ def _region_cube(
     return ids, arcs, marked, parents
 
 
-def _pair_closure(core: _Core, states: Sequence[int], stop: bool = False) -> list[int] | None:
+def _pair_closure(core: _Core, states: Sequence[int]) -> list[int] | None:
     """The closure of the diagonal {(p, p) : p ∈ C} of a cyclic SCC C.
 
     A pair (x, y) is coded x·n + y.  A move reads one symbol on both
     coordinates: x along the inner arcs of C, y along any arc of the core,
     so x stays in C and y in reach(C); the core is ε-free, so no filter
     coordinate is needed.  Codes come in the order a depth-first walk
-    discovers them.  With stop set, the walk returns None at the first move
-    from an off-diagonal pair into the diagonal.
+    discovers them.  The walk returns None at the first move from an
+    off-diagonal pair into the diagonal; without exponential growth there
+    is none, and the closure is complete.
 
     The automaton t behind the core grows exponentially (EDA) iff
     multiplicity is set (see _Core) or such a move exists for some C,
@@ -541,12 +531,30 @@ def _pair_closure(core: _Core, states: Sequence[int], stop: bool = False) -> lis
                         seen.add(c)
                         closed.append(c)
                         stack.append(c)
-                    elif stop and x2 == y2 and x != y:
+                    elif x2 == y2 and x != y:
                         return None
     return closed
 
 
-def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]] | None:
+def _closures(core: _Core) -> dict[int, list[int]] | None:
+    """The _pair_closure of every cyclic SCC of the core, keyed by SCC id.
+
+    None when the automaton behind the core grows exponentially: when
+    multiplicity is set or some closure steps back into the diagonal (see
+    _pair_closure).  This is the one place that decides EXPONENTIAL.
+    """
+    if core.multiplicity:
+        return None
+    closures: dict[int, list[int]] = {}
+    for c, states in enumerate(core.members):
+        if core.inner[states[0]]:
+            if (closed := _pair_closure(core, states)) is None:
+                return None
+            closures[c] = closed
+    return closures
+
+
+def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     """IDA pairs of the ε-free core, in its own ids, by the marked-cube criterion.
 
     The marked cube adds a marker edge from every (p, q, q) to (p, p, q),
@@ -560,9 +568,12 @@ def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]] | None:
     cyclic SCCs, on the region C₁ × (reach(C₁) ∩ coreach(C₃)) × C₃, with
     one Tarjan pass over the region and its markers.
 
-    The region walks start from (p, p, q) for every pair (p, q), p != q,
-    q ∈ C₃, in the _pair_closure of C₁'s diagonal, computed once per C₁ and
-    shared by all its C₃; no square is built.  These starts are exact:
+    Returns None when growth is exponential (see _closures); without it
+    no site joins two states of one SCC, so only pairs C₁ ≠ C₃ are
+    searched.  The region walks start from (p, p, q) for every pair
+    (p, q), p != q, q ∈ C₃, in the _pair_closure of C₁'s diagonal, computed
+    once per C₁ by _closures and shared by all its C₃; no square is built.
+    These starts are exact:
       * every site's start is among them: the site's word w leads p → p
         and p → q, so (p, p) → (p, q) in the closure;
       * every marker target is a start, as the Tarjan pass needs: a region
@@ -578,22 +589,13 @@ def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]] | None:
     Every start is accessible in the cube, since (p, p) → (x, y) on w gives
     (p, p, p) → (x, x, y), and every path (p, p, q) → (p, q, q) lies in the
     region, which is why _site_walk finds the witness paths there.
-
-    Same-SCC pairs (C₁ = C₃) are searched only when same_scc is true;
-    without exponential growth no site joins two states of one SCC.  When
-    same_scc is false the closures stop at a move into the diagonal, and
-    the search returns None as soon as one does: the core then grows
-    exponentially (see _pair_closure).
     """
-    n, members, comp = core.n, core.members, core.comp
-    cyclic = [c for c, states in enumerate(members) if core.inner[states[0]]]
-    closures: dict[int, list[int]] = {}
-    for c in cyclic:
-        if (closed := _pair_closure(core, members[c], not same_scc)) is None:
-            return None
-        closures[c] = closed
-    if len(cyclic) < (1 if same_scc else 2):
+    if (closures := _closures(core)) is None:
+        return None
+    if len(closures) < 2:
         return set()
+    n, members, comp = core.n, core.members, core.comp
+    cyclic = list(closures)
     down = {c: reachable(members[c], core.forward) for c in cyclic}
     up = {c: reachable(members[c], core.backward) for c in cyclic}
     sites: set[tuple[int, int]] = set()
@@ -601,7 +603,7 @@ def _ida_sites(core: _Core, same_scc: bool) -> set[tuple[int, int]] | None:
         starts: dict[int, list[int]] = {
             c3: []
             for c3 in cyclic
-            if (c3 != c1 or same_scc) and members[c3][0] in down[c1]
+            if c3 != c1 and members[c3][0] in down[c1]
         }
         if not starts:
             continue
@@ -627,26 +629,27 @@ def ida_criterion(a: FiniteAutomaton) -> bool:
     """True iff path counts grow without bound (polynomially or worse).
 
     Decided as _growth decides it: exponential growth is unbounded, and
-    without it no site joins two states of one SCC, so the same-SCC
-    regions are never walked.
+    below it a site is what makes growth unbounded.
     """
     _require_analyzable(a)
-    core = _epsilon_core(a)
-    return core.multiplicity or (sites := _ida_sites(core, False)) is None or bool(sites)
+    sites = _ida_sites(_epsilon_core(a))
+    return sites is None or bool(sites)
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
     """All (p, q) sites found by the marked-cube criterion on the ε-free core.
 
-    Meaningful when growth is not exponential; each site then contributes a
-    same-labeled cycle/path/cycle configuration genuinely pumping the path
-    count (configurations that merely slide an ε-run around a symbol are not
-    sites — they pump one path per string).
+    Each site contributes a same-labeled cycle/path/cycle configuration
+    genuinely pumping the path count (configurations that merely slide an
+    ε-run around a symbol are not sites — they pump one path per string).
+    Sites are defined only below exponential growth: on exponential input
+    this raises ExponentiallyAmbiguousInput, as dpa does.
     """
     _require_analyzable(a)
     core = _epsilon_core(a)
+    if (sites := _ida_sites(core)) is None:
+        raise ExponentiallyAmbiguousInput("growth is exponential; sites are undefined")
     order = core.order
-    sites = _ida_sites(core, True)
     return frozenset((order[p], order[q]) for p, q in sites)
 
 
@@ -712,9 +715,7 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     return witness
 
 
-def _dpa_impl(
-    core: _Core, pairs: set[tuple[int, int]], want_witness: bool
-) -> tuple[int, DPAWitness | None]:
+def _dpa_impl(core: _Core, pairs: set[tuple[int, int]]) -> tuple[int, DPAWitness | None]:
     """Longest chain of the core's sites `pairs` along one condensation path.
 
     No EDA is allowed.  The witness names the sites by the states of the
@@ -746,7 +747,7 @@ def _dpa_impl(
                 best[dst] = best[c] + weight
                 parent[dst] = (c, tag)
     degree = max(best)
-    if degree == 0 or not want_witness:
+    if degree == 0:
         return degree, None
     node = best.index(degree)
     chain: list[tuple[int, int]] = []
@@ -761,35 +762,30 @@ def _dpa_impl(
     return degree, DPAWitness(pairs=tuple((order[p], order[q]) for p, q in chain))
 
 
-def _growth(t: FiniteAutomaton, want_witness: bool) -> tuple[int | None, DPAWitness | None]:
+def _growth(t: FiniteAutomaton) -> tuple[int | None, DPAWitness | None]:
     """Growth of a trim, ε-cycle-free automaton from its ε-free core.
 
-    Returns (None, None) when growth is exponential, which multiplicity and
-    the diagonal closures of _ida_sites decide on the core alone; else
-    (degree, DPA witness), the witness only if want_witness.  The sites,
-    all between two distinct SCCs once EDA is excluded, come from the
-    SCC-pair regions of the core's cube (see _ida_sites for why their
-    starts are exact), so this path builds no product.
+    Returns (None, None) when growth is exponential, which _closures
+    decides on the core alone; else (degree, DPA witness).  The sites, all
+    between two distinct SCCs once EDA is excluded, come from the SCC-pair
+    regions of the core's cube (see _ida_sites for why their starts are
+    exact), so this path builds no product.
     """
     core = _epsilon_core(t)
-    if core.multiplicity or (sites := _ida_sites(core, False)) is None:
+    if (sites := _ida_sites(core)) is None:
         return None, None
-    return _dpa_impl(core, sites, want_witness)
+    return _dpa_impl(core, sites)
 
 
 def dpa(a: FiniteAutomaton) -> int:
     """Degree of polynomial growth: 0 = bounded, d >= 1 = Θ(n^d) path counts."""
-    _require_analyzable(a)
-    degree, _ = _growth(a, False)
-    if degree is None:
-        raise ExponentiallyAmbiguousInput("growth is exponential; no polynomial degree")
-    return degree
+    return dpa_with_witness(a)[0]
 
 
 def dpa_with_witness(a: FiniteAutomaton) -> tuple[int, DPAWitness | None]:
     """Like dpa(), also returning the chain of sites realizing the degree."""
     _require_analyzable(a)
-    degree, witness = _growth(a, True)
+    degree, witness = _growth(a)
     if degree is None:
         raise ExponentiallyAmbiguousInput("growth is exponential; no polynomial degree")
     return degree, witness
@@ -832,12 +828,12 @@ def _classify_trim(
     """
     if t.num_states == 0 or t.num_transitions == 0:
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
-    degree, witness = _growth(t, want_witness)
+    degree, witness = _growth(t)
     if degree is None and want_witness:
         witness = _find_eda_scc(t)
         if witness is None:
             raise InternalInvariantViolation("exponential growth without an EDA SCC")
-    witness = _remap_witness(witness, maps)
+    witness = _remap_witness(witness if want_witness else None, maps)
     if degree is None:
         return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, witness)
     if degree == 0:
@@ -901,7 +897,9 @@ def verify_dpa_witness(
         if p == q or cp is None or cq is None or _site_walk(core, cp, cq) is None:
             return False
     # the sites' states are useful, so a path of a between them is one of t
-    succ = _adjacency(a)
+    succ: list[list[int]] = [[] for _ in a.states]
+    for tr in a.transitions:
+        succ[tr.src].append(tr.dst)
     for (_, q1), (p2, _) in zip(w.pairs, w.pairs[1:]):
         if p2 not in reachable([q1], succ):
             return False

@@ -34,7 +34,7 @@ class NotTrim(AutomatonError):
 
 
 class ExponentiallyAmbiguousInput(AutomatonError):
-    """dpa is undefined: the automaton is exponentially ambiguous."""
+    """dpa and ida_pairs are undefined: the automaton is exponentially ambiguous."""
 
 
 class NotEpsilon(AutomatonError):

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EPSILON
+from .core import EPSILON, has_epsilon_cycle
 from .errors import EpsilonCycleInput, NonConvergent, NonPositiveWeight
 from .graphs import strongly_connected_components
 from .weighted import WeightedAutomaton
@@ -204,17 +204,10 @@ def _distances(wa: WeightedAutomaton, tol: float) -> tuple[float, ...]:
 def shortest_distance(wa: WeightedAutomaton, tol: float = 1e-10) -> PairWeight:
     """⊕ over all successful paths π of λ[p[π]] ⊗ w[π] ⊗ ρ[n[π]], solved exactly.
 
-    Rejects an ε-cycle whose weights are not all the semiring one, then
-    solves as _distances does: NonConvergent when a cycle mass reaches 1 or
-    a block solve's residual ‖(I − A)x − r‖∞ exceeds tol·‖r‖∞.
+    Rejects an ε-cycle with EpsilonCycleInput, then solves as _distances
+    does: NonConvergent when a cycle mass reaches 1 or a block solve's
+    residual ‖(I − A)x − r‖∞ exceeds tol·‖r‖∞.
     """
-    skel = wa.skeleton
-    eps_succ: list[list[int]] = [[] for _ in range(skel.num_states)]
-    for tr in skel.transitions:
-        if tr.label == EPSILON:
-            eps_succ[tr.src].append(tr.dst)
-    ecomp, _ = strongly_connected_components(skel.num_states, eps_succ)
-    for tr, w in zip(skel.transitions, wa.weights):
-        if tr.label == EPSILON and ecomp[tr.src] == ecomp[tr.dst] and w != (1.0, 0.0):
-            raise EpsilonCycleInput("ε-cycle with non-identity weight")
+    if has_epsilon_cycle(wa.skeleton):
+        raise EpsilonCycleInput("ε-cycle in the transition graph")
     return PairWeight(*_distances(wa, tol))

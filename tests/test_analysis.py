@@ -83,7 +83,8 @@ def test_ida_pairs_fixture_values():
     assert ida_pairs(EX_POLY1) == frozenset({(0, 1)})
     assert ida_pairs(EX_POLY2) == frozenset({(0, 1), (0, 2), (1, 2)})
     assert ida_pairs(EX_EPS) == frozenset({(0, 1)})
-    assert ida_pairs(EX_EXP) == frozenset({(0, 1), (1, 0)})
+    with pytest.raises(ExponentiallyAmbiguousInput):
+        ida_pairs(EX_EXP)
 
 
 def test_dpa_fixture_values():
@@ -206,16 +207,17 @@ def test_folded_epsilon_runs_can_hide_exponential_growth():
     Collapsing the ε-run onto its symbol successor folds both routes onto
     a single self-loop, so cycle-level inspection alone would undercount;
     the classifier still must answer EXPONENTIAL, with no pumpable state
-    pair to show for it.
+    pair to show for it, and ida_pairs refuses it as dpa does.
     """
     a = validate(("a",), 2, [0], [0], [(0, EPSILON, 1), (0, "a", 0), (1, "a", 0)])
     assert count_paths(a, ("a",) * 3) == 8
     r = classify(a)
     assert r.kind == E
     assert ida_criterion(a)
-    assert ida_pairs(a) == frozenset()
-    with pytest.raises(ExponentiallyAmbiguousInput):
-        dpa(a)
+    assert reference_sites._ida_sites(cube(_epsilon_core(a).fa)) == set()
+    for probe in (ida_pairs, dpa):
+        with pytest.raises(ExponentiallyAmbiguousInput):
+            probe(a)
 
 
 def test_classification_matches_growth_on_a_corpus_slice():
@@ -381,10 +383,22 @@ def test_ida_criterion_walks_no_region_on_exponential_growth(region_walks):
         a for a in build_corpus100()
         if classify(a).kind == E and not _epsilon_core(a).multiplicity
     )
-    assert _ida_sites(_epsilon_core(a), True) and region_walks  # what it skips
-    region_walks.clear()
+    assert reference_sites._ida_sites(cube(_epsilon_core(a).fa))  # what it skips
     assert ida_criterion(a)
     assert region_walks == []
+
+
+def test_ida_pairs_refuses_the_scale_instance_without_a_region_walk(region_walks):
+    """ida_pairs refuses exponential input before any region walk: on
+    acceptance 9's instance one cyclic core SCC holds 326 states, and a
+    same-SCC region would span up to 326³ triples."""
+    a = trim(build_scale_instance())
+    start = time.perf_counter()
+    with pytest.raises(ExponentiallyAmbiguousInput):
+        ida_pairs(a)
+    elapsed = time.perf_counter() - start
+    assert region_walks == []
+    assert elapsed < 1.0, f"ida_pairs took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("a", [EX_POLY2, _ladder(5)], ids=["poly2", "ladder5"])
@@ -448,16 +462,18 @@ def test_ida_witness_on_a_240_state_chain_runs_in_time():
 
 
 def _sites_match_the_reference(a, exponential):
-    """The region search, started from the per-SCC diagonal closures, finds
-    the full marked cube's sites, each of them in the closure of SCC(p)'s
-    diagonal, and ida_criterion, which stops on exponential growth, agrees
-    with them.  Returns how many sites join two SCCs."""
+    """ida_criterion, which stops on exponential growth, agrees with the
+    full marked cube's sites.  Without exponential growth the region
+    search, started from the per-SCC diagonal closures, finds those sites,
+    each of them in the closure of SCC(p)'s diagonal; with it the search
+    returns None.  Returns how many of the compared sites join two SCCs."""
     core = _epsilon_core(trim(a))
     want = reference_sites._ida_sites(cube(core.fa))
-    assert _ida_sites(core, True) == want
     assert ida_criterion(trim(a)) == (core.multiplicity or bool(want))
-    if not exponential:
-        assert _ida_sites(core, False) == want
+    if exponential:
+        assert _ida_sites(core) is None
+        return 0
+    assert _ida_sites(core) == want
     n, members, comp = core.n, core.members, core.comp
     closed = {c: set(_pair_closure(core, members[c])) for c in {comp[p] for p, _ in want}}
     assert all(p * n + q in closed[comp[p]] for p, q in want)
@@ -563,7 +579,7 @@ def test_eda_verdicts_match_the_square_scc_search_on_random_inputs(a):
 
 def test_eda_below_a_second_cyclic_scc_is_found():
     """The EDA SCC {1, 2} (1 -a-> 1 and 1 -a-> 2 -a-> 1) lies below the
-    cyclic SCC {0}, so _ida_sites closes its diagonal first, not last, and
+    cyclic SCC {0}, so _closures closes its diagonal first, not last, and
     no ε-run folds: the closure alone must stop on it."""
     a = validate(
         ("a", "b"), 3, [0], [1],

@@ -144,12 +144,14 @@ def test_cyclic_inputs_match_their_closed_forms():
 
 
 def test_weighted_epsilon_cycles_are_rejected():
-    wa = validate_weighted(
-        ("a",), 2, {0: 1.0}, {1: 1.0},
+    for arcs in (
         [(0, EPSILON, 1, 0.5), (1, EPSILON, 0, 1.0), (0, "a", 1, 0.5)],
-    )
-    with pytest.raises(EpsilonCycleInput):
-        shortest_distance(map_entropy(wa))
+        # every weight the semiring one: mass 1 on the cycle
+        [(0, EPSILON, 1, 1.0), (1, EPSILON, 0, 1.0)],
+    ):
+        wa = validate_weighted(("a",), 2, {0: 1.0}, {1: 1.0}, arcs)
+        with pytest.raises(EpsilonCycleInput):
+            shortest_distance(map_entropy(wa))
 
 
 def test_divergent_mass_reports_nonconvergence():
