@@ -26,16 +26,16 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     detected on the core's cube extended with marker transitions from
     (p, q, q)-states to (p, p, q)-states.  The site search builds only the
     part of that marked cube between the SCCs of p and of q: the first
-    coordinate stays in SCC(p), the third in SCC(q), and the second runs
-    from one to the other (see _ida_sites).  Without exponential growth p
-    and q lie in different SCCs, so the search runs once per ordered pair
-    of distinct cyclic SCCs, and needs no cube at all when fewer than two
-    SCCs are cyclic.  Its walks start from those same closures, so only an
-    EDA witness explores a square.  The same region walk, started
-    from one (p, p, q), is the point query behind witness verification,
-    which only asks whether it reaches (p, q, q), and behind ida_witness,
-    which alone reads the path back (see _site_walk); the full cube is
-    never built.
+    coordinate stays in SCC(p), the third in SCC(q), and the second starts
+    in SCC(p) and moves only to states that reach SCC(q) (see _ida_sites).
+    Without exponential growth p and q lie in different SCCs, so the search
+    runs once per ordered pair of distinct cyclic SCCs, and needs no cube
+    at all when fewer than two SCCs are cyclic.  Its walks start from those
+    same closures, so only an EDA witness explores a square.  The same
+    region walk, started from one (p, p, q), is the point query behind
+    witness verification, which only asks whether it reaches (p, q, q),
+    and behind ida_witness, which alone reads the path back (see
+    _site_walk); the full cube is never built.
   * The polynomial degree is the longest chain of such (p, q) sites along a
     path of the core's condensation.
 
@@ -187,8 +187,8 @@ class _Core(NamedTuple):
     (ε-run, then symbol) it stands for, order[s] names the t-state behind
     core state s, and back maps t-states to core states.  succ[s] maps
     each label to s's successors on it, and inner[s] keeps those that lie
-    in s's own SCC (labels without one are dropped).  forward/backward are
-    plain successor/predecessor lists, comp the SCC ids of
+    in s's own SCC (labels without one are dropped).  backward holds plain
+    predecessor lists, comp the SCC ids of
     graphs.strongly_connected_components and members their states.
     """
 
@@ -199,7 +199,6 @@ class _Core(NamedTuple):
     n: int
     succ: list[dict[str, list[int]]]
     inner: list[dict[str, list[int]]]
-    forward: list[list[int]]
     backward: list[list[int]]
     comp: list[int]
     members: list[list[int]]
@@ -285,8 +284,7 @@ def _epsilon_core(t: FiniteAutomaton) -> _Core:
         q in back and s in back and comp[back[q]] == comp[back[s]] for q, _, s in heavy
     )
     return _Core(
-        fa, lifts, order, back, n, succ, inner, forward, backward, comp, members,
-        multiplicity,
+        fa, lifts, order, back, n, succ, inner, backward, comp, members, multiplicity
     )
 
 
@@ -432,25 +430,19 @@ def _region_cube(
     A triple (x, y, z) is coded (x·n + y)·n + z.  Every cube move reads one
     symbol on all three coordinates (the core is ε-free, so there is no
     filter coordinate): x and z move inside their own SCCs, C₁ and C₃ of
-    the starts, and y moves inside mid, which must hold every start's y.
-    Nodes are numbered in discovery order; a node's successors are walked
-    by label, then x′, y′, z′, each in the order of the core's transitions.
-    Returns the node id of each code, the successor nodes of each node,
+    the starts, and y only to states in mid; a start's y need not lie in
+    mid.  A y's successors in mid are filtered when the walk first visits
+    it.  Nodes are numbered in discovery order; a node's successors are
+    walked by label, then x′, y′, z′, each in the order of the core's
+    transitions.  Returns the node id of each code, the successor nodes of each node,
     (node, x, y) for every node (x, y, y) with x != y, where a marker edge
     starts, and for each node the code and label of the move that
     discovered it (None for the starts): a breadth-first tree.
     """
     n = core.n
     nn = n * n
-    inner = core.inner
-    between = {
-        y: {
-            label: kept
-            for label, dsts in core.succ[y].items()
-            if (kept := [d * n for d in dsts if d in mid])
-        }
-        for y in mid
-    }
+    succ, inner = core.succ, core.inner
+    between: dict[int, dict[str, list[int]]] = {}
     ids = {code: node for node, code in enumerate(starts)}
     codes = list(starts)
     parents: list[tuple[int, str] | None] = [None] * len(starts)
@@ -461,7 +453,13 @@ def _region_cube(
         y, z = divmod(rest, n)
         if y == z and x != y:
             marked.append((node, x, y))
-        ys, zs = between[y], inner[z]
+        if (ys := between.get(y)) is None:
+            ys = between[y] = {
+                label: kept
+                for label, dsts in succ[y].items()
+                if (kept := [d * n for d in dsts if d in mid])
+            }
+        zs = inner[z]
         out: list[int] = []
         for label, xs in inner[x].items():
             y2s = ys.get(label)
@@ -562,18 +560,21 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     connected component.  The whole cube is never built.  On a cycle
     through a marker the first coordinate returns to p and the third to q,
     so they stay in the SCCs C₁ ∋ p and C₃ ∋ q, which are cyclic because
-    every cube move reads a symbol; each middle coordinate follows a marker
-    (so it is reachable from C₁) and precedes the next one (so it reaches
-    C₃).  The search therefore runs once per ordered pair (C₁, C₃) of
-    cyclic SCCs, on the region C₁ × (reach(C₁) ∩ coreach(C₃)) × C₃, with
-    one Tarjan pass over the region and its markers.
+    every cube move reads a symbol; each middle coordinate precedes the
+    next marker, so it reaches C₃.  The search therefore runs once per
+    ordered pair (C₁, C₃) of cyclic SCCs, on the region C₁ × coreach(C₃) ×
+    C₃, with one Tarjan pass over the region and its markers.  Each middle
+    coordinate also follows a marker, so it lies in reach(C₁), but that
+    bound needs no filter: every walk starts with y ∈ C₁ and y only moves
+    forward, so each y the walk visits is in reach(C₁) already.
 
     Returns None when growth is exponential (see _closures); without it
     no site joins two states of one SCC, so only pairs C₁ ≠ C₃ are
     searched.  The region walks start from (p, p, q) for every pair
-    (p, q), p != q, q ∈ C₃, in the _pair_closure of C₁'s diagonal, computed
-    once per C₁ by _closures and shared by all its C₃; no square is built.
-    These starts are exact:
+    (p, q), q ∈ C₃ ≠ C₁, in the _pair_closure of C₁'s diagonal, computed
+    once per C₁ by _closures and bucketed by SCC(q) in one pass over it;
+    q is reached from C₁, so only the C₃ below C₁ get starts, and no
+    square is built.  These starts are exact:
       * every site's start is among them: the site's word w leads p → p
         and p → q, so (p, p) → (p, q) in the closure;
       * every marker target is a start, as the Tarjan pass needs: a region
@@ -595,26 +596,16 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     if len(closures) < 2:
         return set()
     n, members, comp = core.n, core.members, core.comp
-    cyclic = list(closures)
-    down = {c: reachable(members[c], core.forward) for c in cyclic}
-    up = {c: reachable(members[c], core.backward) for c in cyclic}
+    up = {c: reachable(members[c], core.backward) for c in closures}
     sites: set[tuple[int, int]] = set()
-    for c1 in cyclic:
-        starts: dict[int, list[int]] = {
-            c3: []
-            for c3 in cyclic
-            if c3 != c1 and members[c3][0] in down[c1]
-        }
-        if not starts:
-            continue
-        for code in closures[c1]:
+    for c1, closed in closures.items():
+        starts: dict[int, list[int]] = {}
+        for code in closed:
             p, q = divmod(code, n)
-            if p != q and (region := starts.get(comp[q])) is not None:
-                region.append((p * n + p) * n + q)
-        for c3, region in starts.items():
-            if not region:
-                continue
-            ids, arcs, marked, _ = _region_cube(core, down[c1] & up[c3], region)
+            if (c3 := comp[q]) != c1 and c3 in closures:
+                starts.setdefault(c3, []).append((p * n + p) * n + q)
+        for c3 in sorted(starts):
+            ids, arcs, marked, _ = _region_cube(core, up[c3], starts[c3])
             markers = []
             for node, x, y in marked:
                 target = ids[(x * n + x) * n + y]  # (x, x, y) is a start
@@ -659,14 +650,13 @@ def _site_walk(
     """The breadth-first region walk from (p, p, q), p != q, in the core's cube.
 
     Every path (p, p, q) → (p, q, q) lies in the region of _ida_sites for
-    SCC(p), SCC(q), so the walk runs there.  Returns the node ids and the
+    SCC(p), SCC(q), so the walk runs there, with one reach pass for
+    coreach(SCC(q)).  When SCC(q) is out of p's reach, p has no successor
+    in it and the walk ends at its start.  Returns the node ids and the
     tree of _region_cube, or None when the walk misses (p, q, q).
     """
     n = core.n
-    down = reachable(core.members[core.comp[p]], core.forward)
-    if q not in down:
-        return None
-    mid = down & reachable(core.members[core.comp[q]], core.backward)
+    mid = reachable(core.members[core.comp[q]], core.backward)
     ids, _, _, parents = _region_cube(core, mid, [(p * n + p) * n + q])
     return (ids, parents) if (p * n + q) * n + q in ids else None
 
@@ -725,12 +715,11 @@ def _dpa_impl(core: _Core, pairs: set[tuple[int, int]]) -> tuple[int, DPAWitness
         return 0, None
     comp, count = core.comp, len(core.members)
     out: list[list[tuple[int, int, tuple[int, int] | None]]] = [[] for _ in range(count)]
-    plain: set[tuple[int, int]] = set()
-    for src, dsts in enumerate(core.forward):
-        for dst in dsts:
-            cu, cv = comp[src], comp[dst]
-            if cu != cv and (cu, cv) not in plain:
-                plain.add((cu, cv))
+    # plain condensation edges first: under the strict gain below, neither
+    # their order nor a repeat of one changes best or parent
+    for dst, srcs in enumerate(core.backward):
+        for src in srcs:
+            if (cu := comp[src]) != (cv := comp[dst]):
                 out[cu].append((cv, 0, None))
     for p, q in sorted(pairs):
         cp, cq = comp[p], comp[q]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from artifact.analysis import (
     AmbiguityClass,
+    DPAWitness,
     EDAWitness,
     _epsilon_core,
     _ida_sites,
@@ -26,7 +27,7 @@ from artifact.analysis import (
     verify_ida_witness,
     verify_witness,
 )
-from artifact.core import EPSILON, trim, validate
+from artifact.core import EPSILON, _trim, trim, validate
 from artifact.entropy import entropy_report
 from artifact.errors import EpsilonCycleInput, ExponentiallyAmbiguousInput, NotTrim
 from artifact.fixtures import EX_EPS, EX_EXP, EX_FIN2, EX_POLY1, EX_POLY2, EX_POLY2P
@@ -39,6 +40,7 @@ from artifact.oracle import (
 )
 from artifact.product import cube
 
+import reference_dpa
 import reference_eda
 import reference_sites
 from conftest import build_corpus100, build_scale_instance, running_max
@@ -461,6 +463,38 @@ def test_ida_witness_on_a_240_state_chain_runs_in_time():
     assert elapsed < 2.0, f"ida_witness took {elapsed:.1f} s"
 
 
+@pytest.fixture
+def reach_passes(monkeypatch):
+    """The start states of every reach pass that artifact.analysis makes."""
+    from artifact import analysis
+
+    passes = []
+    reach = analysis.reachable
+
+    def counting(starts, successors):
+        passes.append(starts)
+        return reach(starts, successors)
+
+    monkeypatch.setattr(analysis, "reachable", counting)
+    return passes
+
+
+def test_site_search_makes_one_coreach_pass_per_cyclic_scc(reach_passes):
+    """A region's middle coordinate is bounded by coreach(C₃) alone: the
+    site search makes one pass per cyclic SCC, a single site walk one."""
+    a = _ladder(8)
+    r = classify(a, want_witness=True)
+    assert r.degree == 7
+    assert len(reach_passes) == 8
+    reach_passes.clear()
+    assert ida_witness(a, 0, 7) is not None
+    assert len(reach_passes) == 1
+    reach_passes.clear()
+    # one per site walk, then one per link between consecutive sites
+    assert verify_dpa_witness(a, r.witness, 7)
+    assert len(reach_passes) == 7 + 6
+
+
 def _sites_match_the_reference(a, exponential):
     """ida_criterion, which stops on exponential growth, agrees with the
     full marked cube's sites.  Without exponential growth the region
@@ -524,8 +558,11 @@ def test_region_sites_match_the_full_cube_sites_on_random_diamond_inputs(a):
 def _witnesses_match_the_reference(a, identical):
     """ida_witness answers every state pair as the full-cube search does:
     a witness for the same pairs, each verified and of the same length;
-    with identical set, the very same witnesses.  Returns the pair count."""
+    with identical set, the very same witnesses.  Returns the pair count
+    and how many witnessed pairs join two SCCs of the ε-free core."""
     pairs = list(itertools.product(a.states, repeat=2))
+    core = _epsilon_core(a)
+    joining = 0
     for p, q in pairs:
         want = reference_sites.ida_witness(a, p, q)
         got = ida_witness(a, p, q)
@@ -535,13 +572,14 @@ def _witnesses_match_the_reference(a, identical):
             assert verify_ida_witness(a, got)
             if identical:
                 assert got == want
-    return len(pairs)
+            joining += core.comp[core.back[p]] != core.comp[core.back[q]]
+    return len(pairs), joining
 
 
 def test_ida_witnesses_match_the_full_cube_search():
     fixtures = [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS]
-    checked = sum(_witnesses_match_the_reference(a, True) for a in fixtures)
-    checked += sum(_witnesses_match_the_reference(a, False) for a in build_corpus100())
+    checked = sum(_witnesses_match_the_reference(a, True)[0] for a in fixtures)
+    checked += sum(_witnesses_match_the_reference(a, False)[0] for a in build_corpus100())
     assert checked == 1699
 
 
@@ -552,10 +590,37 @@ def test_ida_witnesses_on_ladders_and_chains_are_the_full_cube_ones(a):
     _witnesses_match_the_reference(a, True)
 
 
-@settings(max_examples=150, deadline=None)
-@given(a=_small_epsilon_nfas())
+@settings(max_examples=300, deadline=None)
+@given(a=_small_epsilon_nfas(max_states=6, diamonds=True))
 def test_ida_witnesses_match_the_full_cube_search_on_random_inputs(a):
-    _witnesses_match_the_reference(a, False)
+    # few small automata have a witness joining two SCCs; steer towards
+    # them, and towards cores with several cyclic SCCs, where they lie
+    core = _epsilon_core(a)
+    target(float(sum(bool(core.inner[s[0]]) for s in core.members)), label="cyclic SCCs")
+    target(float(_witnesses_match_the_reference(a, False)[1]))
+
+
+def _chains_match_the_reference(a):
+    """dpa_with_witness of trim(a) and classify(a)'s DPA witness are the
+    reference DP's degree and chain over the full marked cube's sites,
+    the chain carried back to a's ids."""
+    t, maps = _trim(a)
+    core = _epsilon_core(t)
+    degree, chain = reference_dpa._dpa_impl(core, reference_sites._ida_sites(cube(core.fa)))
+    assert dpa_with_witness(t) == (degree, chain)
+    if chain is not None and maps is not None:
+        order = maps[0]
+        chain = DPAWitness(pairs=tuple((order[p], order[q]) for p, q in chain.pairs))
+    assert classify(a, want_witness=True).witness == chain
+    return degree
+
+
+def test_dpa_witnesses_are_the_reference_chains():
+    fixtures = [EX_FIN2, EX_POLY1, EX_POLY2, EX_EPS]
+    corpus = [a for a in build_corpus100() if classify(a).kind is not E]
+    chains = [_ladder(16), _block_chain(3), _block_chain(4)]
+    degrees = [_chains_match_the_reference(a) for a in fixtures + corpus + chains]
+    assert len(corpus) == 78 and degrees[-3:] == [15, 2, 3]
 
 
 def _eda_verdicts_match_the_square_scc_search(a):
