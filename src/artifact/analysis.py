@@ -22,9 +22,11 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     symbol pump a single path per string, not a growing family, so the test
     runs on an ε-free core of A where every remaining cycle/path/cycle
     configuration genuinely pumps.  _epsilon_core builds that core, with
-    its SCCs and id maps, once per entry point (see _Core).  Growth is
-    detected on the core's cube extended with marker transitions from
-    (p, q, q)-states to (p, p, q)-states.  The site search builds only the
+    its SCCs and id maps, once per entry point; the build trims its input
+    and rejects ε-cycles, so classify and witness verification prepare
+    their input in that one pass (see _Core).  Growth is detected on the
+    core's cube extended with marker transitions from (p, q, q)-states to
+    (p, p, q)-states.  The site search builds only the
     part of that marked cube between the SCCs of p and of q: the first
     coordinate stays in SCC(p), the third in SCC(q), and the second starts
     in SCC(p) and moves only to states that reach SCC(q) (see _ida_sites).
@@ -162,26 +164,38 @@ def _require_analyzable(a: FiniteAutomaton) -> None:
 
 
 class _Core(NamedTuple):
-    """The ε-free core of a trim, ε-cycle-free automaton t, as the site search walks it.
+    """The trimmed ε-free core of an automaton t, as the site search walks it.
 
     fa folds every ε-run of t into the symbol step that follows it: it has
     a transition (q, σ, s) whenever t has an ε-run from q followed by a
     symbol transition (r, σ, s), and q is final whenever an ε-run from q
-    reaches a final state; it is then trimmed, since states that t reaches
-    only through ε-runs have no transition into them.  An ε-free t is its
-    own core.  Per-string path counts of the core and of t agree within a
-    factor that does not depend on the string, so both sit in the same
-    growth regime with the same polynomial degree — except when two
-    distinct runs fold onto one core transition whose endpoints are
-    strongly connected.  Repeating that transition's cycle doubles the
-    number of t's paths per turn, so `multiplicity`, which reports this,
-    decides EXPONENTIAL by itself; without it t grows exponentially iff
-    the core does (see _pair_closure).  It is read off the core's own SCCs,
-    with no pass over the untrimmed fold: t is trim, so every state on a
-    cycle of the fold is reachable there (a t-path to it, continued along
-    the cycle's first step, folds into a path onto the cycle) and
-    co-reachable (any t-path to a final state folds into one), so trimming
-    keeps every cycle, and with it every transition inside an SCC.
+    reaches a final state; it is then trimmed, which also drops the states
+    that t reaches only through ε-runs.  An ε-free t is only trimmed.
+    Per-string path counts of the core and of t agree within a factor
+    that does not depend on the string, so both sit in the same growth
+    regime with the same polynomial degree — except when two distinct runs
+    fold onto one core transition whose endpoints are strongly connected.
+    Repeating that transition's cycle doubles the number of t's paths per
+    turn, so `multiplicity`, which reports this, decides EXPONENTIAL by
+    itself; without it t grows exponentially iff the core does (see
+    _pair_closure).  It is read off the core's own SCCs, with no pass over
+    the untrimmed fold: every state on a cycle of the fold of trim(t) is
+    reachable there (a t-path to it, continued along the cycle's first
+    step, folds into a path onto the cycle) and co-reachable (any t-path to
+    a final state folds into one), so trimming keeps every cycle, and with
+    it every transition inside an SCC.
+
+    t need not be trim: the trimmed fold of t is the trimmed fold of
+    trim(t), with ids carried through the trim maps, so useless states of
+    t move no id, run or witness:
+      * a path of t between useful states, such as an ε-run followed by a
+        symbol step, visits only useful states;
+      * from a reachable state, the depth-first subtree of a useless state
+        holds only useless states, which reach no final state; dropping
+        them leaves the reversed postorder of the useful states, the first
+        ε-run to each of them and the multiplicity counts as in trim(t);
+      * a final state that an ε-run from a reachable state reaches is
+        useful, so the useful states keep their folded finals.
 
     lifts[i] expands core transition i into the t-transition indices
     (ε-run, then symbol) it stands for, order[s] names the t-state behind
@@ -206,7 +220,12 @@ class _Core(NamedTuple):
 
 
 def _epsilon_core(t: FiniteAutomaton) -> _Core:
-    """The _Core of a trim, ε-cycle-free automaton t."""
+    """The _Core of any automaton t, which also trims it.
+
+    Raises EpsilonCycleInput when t has an ε-cycle, useful or not: the
+    ε-run DFS from every state with an ε-arc meets each ε-cycle, since
+    every state on one has an ε-arc.
+    """
     eps_arcs: list[list[tuple[int, int]]] = [[] for _ in t.states]
     sym_arcs: list[list[int]] = [[] for _ in t.states]
     for i, tr in enumerate(t.transitions):
@@ -216,8 +235,7 @@ def _epsilon_core(t: FiniteAutomaton) -> _Core:
             sym_arcs[tr.src].append(i)
     heavy: list[tuple[int, str, int]] = []
     if not any(eps_arcs):
-        fa, order = t, range(t.num_states)
-        lifts = tuple((i,) for i in range(t.num_transitions))
+        fold, steps = t, [(i,) for i in range(t.num_transitions)]
     else:
         eps_succ = [[dst for dst, _ in arcs] for arcs in eps_arcs]
         combo: dict[tuple[int, str, int], tuple[int, ...]] = {}
@@ -229,7 +247,9 @@ def _epsilon_core(t: FiniteAutomaton) -> _Core:
             if eps_arcs[q]:
                 # Reversed depth-first postorder of the ε-run DAG rooted at q,
                 # so every state is relaxed after all its ε-predecessors.
-                post, _ = dfs_postorder((q,), eps_succ)
+                post, cyclic = dfs_postorder((q,), eps_succ)
+                if cyclic:
+                    raise EpsilonCycleInput("classification requires an ε-cycle-free automaton")
                 for r in reversed(post):
                     for dst, i in eps_arcs[r]:
                         count[dst] = min(2, count.get(dst, 0) + count[r])
@@ -248,17 +268,17 @@ def _epsilon_core(t: FiniteAutomaton) -> _Core:
                         combo[key] = run[r] + (i,)
         keys = sorted(combo)
         heavy = [key for key in keys if weight[key] >= 2]
-        fa, maps = _trim(
-            FiniteAutomaton(
-                alphabet=t.alphabet,
-                num_states=t.num_states,
-                initial=t.initial,
-                final=frozenset(finals),
-                transitions=tuple(Transition(*key) for key in keys),
-            )
+        fold = FiniteAutomaton(
+            alphabet=t.alphabet,
+            num_states=t.num_states,
+            initial=t.initial,
+            final=frozenset(finals),
+            transitions=tuple(Transition(*key) for key in keys),
         )
-        order, tmap = maps if maps is not None else (range(t.num_states), range(len(keys)))
-        lifts = tuple(combo[keys[i]] for i in tmap)
+        steps = [combo[key] for key in keys]
+    fa, maps = _trim(fold)
+    order, tmap = maps if maps is not None else (range(t.num_states), range(len(steps)))
+    lifts = tuple(steps[i] for i in tmap)
     back = {s: c for c, s in enumerate(order)}
     n = fa.num_states
     succ: list[dict[str, list[int]]] = [{} for _ in range(n)]
@@ -563,10 +583,12 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     every cube move reads a symbol; each middle coordinate precedes the
     next marker, so it reaches C₃.  The search therefore runs once per
     ordered pair (C₁, C₃) of cyclic SCCs, on the region C₁ × coreach(C₃) ×
-    C₃, with one Tarjan pass over the region and its markers.  Each middle
-    coordinate also follows a marker, so it lies in reach(C₁), but that
-    bound needs no filter: every walk starts with y ∈ C₁ and y only moves
-    forward, so each y the walk visits is in reach(C₁) already.
+    C₃, with one Tarjan pass over the region and its markers; coreach(C₃)
+    is computed when a region first has C₃, so an SCC that no closure
+    reaches, such as the top one, gets none.  Each middle coordinate also
+    follows a marker, so it lies in reach(C₁), but that bound needs no
+    filter: every walk starts with y ∈ C₁ and y only moves forward, so
+    each y the walk visits is in reach(C₁) already.
 
     Returns None when growth is exponential (see _closures); without it
     no site joins two states of one SCC, so only pairs C₁ ≠ C₃ are
@@ -596,7 +618,7 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     if len(closures) < 2:
         return set()
     n, members, comp = core.n, core.members, core.comp
-    up = {c: reachable(members[c], core.backward) for c in closures}
+    up: dict[int, set[int]] = {}
     sites: set[tuple[int, int]] = set()
     for c1, closed in closures.items():
         starts: dict[int, list[int]] = {}
@@ -605,7 +627,9 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
             if (c3 := comp[q]) != c1 and c3 in closures:
                 starts.setdefault(c3, []).append((p * n + p) * n + q)
         for c3 in sorted(starts):
-            ids, arcs, marked, _ = _region_cube(core, up[c3], starts[c3])
+            if (mid := up.get(c3)) is None:
+                mid = up[c3] = reachable(members[c3], core.backward)
+            ids, arcs, marked, _ = _region_cube(core, mid, starts[c3])
             markers = []
             for node, x, y in marked:
                 target = ids[(x * n + x) * n + y]  # (x, x, y) is a start
@@ -752,7 +776,7 @@ def _dpa_impl(core: _Core, pairs: set[tuple[int, int]]) -> tuple[int, DPAWitness
 
 
 def _growth(t: FiniteAutomaton) -> tuple[int | None, DPAWitness | None]:
-    """Growth of a trim, ε-cycle-free automaton from its ε-free core.
+    """Growth of an automaton from its ε-free core (see _epsilon_core).
 
     Returns (None, None) when growth is exponential, which _closures
     decides on the core alone; else (degree, DPA witness).  The sites, all
@@ -780,54 +804,34 @@ def dpa_with_witness(a: FiniteAutomaton) -> tuple[int, DPAWitness | None]:
     return degree, witness
 
 
-def _remap_witness(w: Witness | None, maps) -> Witness | None:
-    """Carry a classify() witness (EDA or DPA) from the trimmed ids back to a's."""
-    if w is None or maps is None:
-        return w
-    order, tmap = maps
-    if isinstance(w, EDAWitness):
-        return EDAWitness(
-            state=order[w.state],
-            label=w.label,
-            cycle_a=tuple(tmap[i] for i in w.cycle_a),
-            cycle_b=tuple(tmap[i] for i in w.cycle_b),
-        )
-    return DPAWitness(pairs=tuple((order[p], order[q]) for p, q in w.pairs))
-
-
 def classify(a: FiniteAutomaton, want_witness: bool = False) -> AmbiguityReport:
-    """Full ambiguity classification; accepts untrimmed input and trims first.
+    """Full ambiguity classification; accepts untrimmed input.
 
-    Witnesses refer to the states and transition indices of the automaton as
-    passed in, not of its trimmed core.
+    The ε-free core build trims a and rejects its ε-cycles, also those
+    among useless states (see _epsilon_core).  Witnesses refer to the
+    states and transition indices of the automaton as passed in, not of
+    its trimmed core.
     """
-    if has_epsilon_cycle(a):
-        raise EpsilonCycleInput("classification requires an ε-cycle-free automaton")
-    t, maps = _trim(a)
-    return _classify_trim(t, want_witness, maps)
-
-
-def _classify_trim(
-    t: FiniteAutomaton, want_witness: bool = False, maps=None
-) -> AmbiguityReport:
-    """classify() of a trim, ε-cycle-free automaton, without checking either.
-
-    maps, as returned by core._trim, carry the witness back to the ids of
-    the automaton that t was trimmed from.
-    """
-    if t.num_states == 0 or t.num_transitions == 0:
-        return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
-    degree, witness = _growth(t)
-    if degree is None and want_witness:
-        witness = _find_eda_scc(t)
-        if witness is None:
-            raise InternalInvariantViolation("exponential growth without an EDA SCC")
-    witness = _remap_witness(witness if want_witness else None, maps)
+    degree, witness = _growth(a)
     if degree is None:
-        return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, witness)
+        if not want_witness:
+            return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, None)
+        # the square SCC search needs trim input: a dead SCC could be picked
+        t, maps = _trim(a)
+        if (eda := _find_eda_scc(t)) is None:
+            raise InternalInvariantViolation("exponential growth without an EDA SCC")
+        if maps is not None:
+            order, tmap = maps
+            eda = EDAWitness(
+                state=order[eda.state],
+                label=eda.label,
+                cycle_a=tuple(tmap[i] for i in eda.cycle_a),
+                cycle_b=tuple(tmap[i] for i in eda.cycle_b),
+            )
+        return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, eda)
     if degree == 0:
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
-    return AmbiguityReport(AmbiguityClass.POLYNOMIAL, degree, witness)
+    return AmbiguityReport(AmbiguityClass.POLYNOMIAL, degree, witness if want_witness else None)
 
 
 def verify_eda_witness(a: FiniteAutomaton, w: EDAWitness) -> bool:
@@ -868,24 +872,17 @@ def verify_dpa_witness(
 ) -> bool:
     """Re-derive every site of the chain and check the links between them.
 
-    Each site is searched in its SCC-pair region of the cube of the trimmed
-    automaton's ε-free core (see _ida_sites).
+    Each site is searched in its SCC-pair region of the cube of a's ε-free
+    core (see _ida_sites), which also trims a and rejects its ε-cycles.
     """
     if not w.pairs or (degree is not None and len(w.pairs) != degree):
         return False
-    t, maps = _trim(a)
-    if t.num_states == 0:
-        return False
-    if has_epsilon_cycle(t):
-        raise EpsilonCycleInput("analysis requires an ε-cycle-free automaton")
-    core = _epsilon_core(t)
-    order = maps[0] if maps else range(t.num_states)
-    to_core = {order[s]: c for s, c in core.back.items()}
+    core = _epsilon_core(a)
     for p, q in w.pairs:
-        cp, cq = to_core.get(p), to_core.get(q)
+        cp, cq = core.back.get(p), core.back.get(q)
         if p == q or cp is None or cq is None or _site_walk(core, cp, cq) is None:
             return False
-    # the sites' states are useful, so a path of a between them is one of t
+    # the sites' states are useful, and so is every state of a path between two
     succ: list[list[int]] = [[] for _ in a.states]
     for tr in a.transitions:
         succ[tr.src].append(tr.dst)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AmbiguityClass, _classify_trim
+from .analysis import AmbiguityClass, classify
 from .core import EPSILON, has_epsilon_cycle, is_trim
 from .errors import AlphabetTooLarge, EpsilonCycleInput, MassNotOne, NotTrim
 from .oracle import GROWTH_MAX_SYMBOLS, growth_table
@@ -227,8 +227,7 @@ def entropy_report(
     # a zero-state automaton has no weight to read k from: its zero
     # distances come back as the pair (0.0, 0.0)
     length, s = totals[1:] if len(totals) == 3 else (0.0, 0.0)
-    # the skeleton passed _check_analyzable: trim and free of ε-cycles
-    ambiguity = _classify_trim(wa.skeleton)
+    ambiguity = classify(wa.skeleton)
 
     k_observed: int | None = None
     vacuous = False

@@ -160,11 +160,56 @@ def test_classify_trims_internally_but_low_level_probes_do_not():
             probe(loose)
 
 
+def _with_dead_states(a):
+    """a plus three useless states n, n + 1 and n + 2, with a's ids kept:
+    an ε-arc from 0 reaches n, which leads on to n + 2 by ε and by symbol,
+    n + 1 reaches 0 and n − 1, and n − 1 has a symbol arc into n + 2."""
+    n, x = a.num_states, a.alphabet[0]
+    edges = [
+        *a.transitions,
+        (0, EPSILON, n), (n, x, n + 2), (n, EPSILON, n + 2),
+        (n + 1, EPSILON, 0), (n + 1, x, n - 1), (n - 1, x, n + 2),
+    ]
+    return validate(a.alphabet, n + 3, a.initial, a.final, edges)
+
+
+def test_useless_states_on_epsilon_arcs_move_no_answer():
+    """The core build folds the ε-runs of untrimmed input and trims once:
+    useless states, also on ε-runs from useful ones, change neither the
+    class nor a witness, and the witnesses verify on the untrimmed input."""
+    kinds = []
+    for a in [EX_FIN2, EX_POLY1, EX_POLY2, EX_EXP, EX_EPS, *build_corpus100()[::2]]:
+        b = _with_dead_states(a)
+        want, got = classify(a, want_witness=True), classify(b, want_witness=True)
+        assert (got.kind, got.degree) == (want.kind, want.degree)
+        if isinstance(want.witness, EDAWitness):
+            # the new ε-arc out of 0 moves transition ids: compare the transitions
+            assert got.witness.state == want.witness.state
+            for cycle_a, cycle_b in ((want.witness.cycle_a, got.witness.cycle_a),
+                                     (want.witness.cycle_b, got.witness.cycle_b)):
+                assert [b.transitions[i] for i in cycle_b] == [a.transitions[i] for i in cycle_a]
+        else:
+            assert got.witness == want.witness
+        if got.witness is not None:
+            assert verify_witness(b, got.witness)
+        kinds.append(got.kind)
+    assert [kinds.count(kind) for kind in (F, P, E)] == [18, 24, 13]
+
+
 def test_epsilon_cycles_are_rejected_at_the_door():
     cyc = validate(("a",), 2, [0], [1], [(0, EPSILON, 1), (1, EPSILON, 0), (0, "a", 1)])
     for fn in (classify, dpa, eda_criterion, ida_criterion, ida_pairs):
         with pytest.raises(EpsilonCycleInput):
             fn(cyc)
+    # the linear fixture behind a dead end 2 whose ε-cycle is useless
+    loose = validate(
+        ("a",), 4, [0], [1],
+        [(0, "a", 0), (0, "a", 1), (1, "a", 1), (0, "a", 2), (2, EPSILON, 3), (3, EPSILON, 2)],
+    )
+    with pytest.raises(EpsilonCycleInput):
+        classify(loose)
+    with pytest.raises(EpsilonCycleInput):
+        verify_dpa_witness(loose, DPAWitness(pairs=((0, 1),)))
 
 
 def test_empty_automaton_is_finite():
@@ -481,11 +526,13 @@ def reach_passes(monkeypatch):
 
 def test_site_search_makes_one_coreach_pass_per_cyclic_scc(reach_passes):
     """A region's middle coordinate is bounded by coreach(C₃) alone: the
-    site search makes one pass per cyclic SCC, a single site walk one."""
+    site search makes one pass per cyclic SCC that some region has as C₃,
+    which on a ladder is every SCC but the top one, and a single site
+    walk makes one."""
     a = _ladder(8)
     r = classify(a, want_witness=True)
     assert r.degree == 7
-    assert len(reach_passes) == 8
+    assert len(reach_passes) == 7
     reach_passes.clear()
     assert ida_witness(a, 0, 7) is not None
     assert len(reach_passes) == 1
@@ -523,7 +570,7 @@ def test_region_sites_match_the_full_cube_sites():
 
 
 @st.composite
-def _small_epsilon_nfas(draw, max_states=5, diamonds=False):
+def _small_epsilon_nfas(draw, max_states=5, diamonds=False, rungs=False):
     n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     edges = draw(st.sets(st.tuples(state, st.sampled_from(["a", "b", EPSILON]), state), max_size=10))
@@ -534,6 +581,11 @@ def _small_epsilon_nfas(draw, max_states=5, diamonds=False):
         edges |= {(s0, EPSILON, s1), (s0, EPSILON, s2), (s1, EPSILON, s3), (s2, EPSILON, s3)}
         if draw(st.booleans()):
             edges.add((s3, "a", s0))
+    if rungs and n >= 3 and draw(st.booleans()):
+        # a-loops at s0 and s2 joined by an a-path through s1: a site whose
+        # middle path passes a third SCC, unless other edges merge them
+        s0, s1, s2 = draw(st.lists(state, min_size=3, max_size=3, unique=True))
+        edges |= {(s0, "a", s0), (s0, "a", s1), (s1, "a", s2), (s2, "a", s2)}
     # ε-edges only run upward, so there is no ε-cycle
     edges = [(s, x, d) for s, x, d in edges if x != EPSILON or s < d]
     initial = draw(st.sets(state, min_size=1, max_size=2))
@@ -558,11 +610,12 @@ def test_region_sites_match_the_full_cube_sites_on_random_diamond_inputs(a):
 def _witnesses_match_the_reference(a, identical):
     """ida_witness answers every state pair as the full-cube search does:
     a witness for the same pairs, each verified and of the same length;
-    with identical set, the very same witnesses.  Returns the pair count
-    and how many witnessed pairs join two SCCs of the ε-free core."""
+    with identical set, the very same witnesses.  Returns the pair count,
+    how many witnessed pairs join two SCCs of the ε-free core, and for how
+    many the reference's middle path leaves SCC(p) ∪ SCC(q)."""
     pairs = list(itertools.product(a.states, repeat=2))
     core = _epsilon_core(a)
-    joining = 0
+    joining = leaving = 0
     for p, q in pairs:
         want = reference_sites.ida_witness(a, p, q)
         got = ida_witness(a, p, q)
@@ -572,8 +625,13 @@ def _witnesses_match_the_reference(a, identical):
             assert verify_ida_witness(a, got)
             if identical:
                 assert got == want
-            joining += core.comp[core.back[p]] != core.comp[core.back[q]]
-    return len(pairs), joining
+            ends = {core.comp[core.back[p]], core.comp[core.back[q]]}
+            joining += len(ends) == 2
+            # symbol steps end on core states; ε-steps may end off the core
+            middle = {core.comp[core.back[a.transitions[i].dst]]
+                      for i in want.path_pq if not a.is_epsilon(i)}
+            leaving += not middle <= ends
+    return len(pairs), joining, leaving
 
 
 def test_ida_witnesses_match_the_full_cube_search():
@@ -591,13 +649,16 @@ def test_ida_witnesses_on_ladders_and_chains_are_the_full_cube_ones(a):
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=_small_epsilon_nfas(max_states=6, diamonds=True))
+@given(a=_small_epsilon_nfas(max_states=6, diamonds=True, rungs=True))
 def test_ida_witnesses_match_the_full_cube_search_on_random_inputs(a):
-    # few small automata have a witness joining two SCCs; steer towards
-    # them, and towards cores with several cyclic SCCs, where they lie
+    # few small automata have a witness joining two SCCs, and fewer still
+    # one whose middle path passes a third SCC unless rungs are planted;
+    # steer towards them, and towards cores with several cyclic SCCs
     core = _epsilon_core(a)
     target(float(sum(bool(core.inner[s[0]]) for s in core.members)), label="cyclic SCCs")
-    target(float(_witnesses_match_the_reference(a, False)[1]))
+    _, joining, leaving = _witnesses_match_the_reference(a, False)
+    target(float(joining))
+    target(float(leaving), label="middle leaves")
 
 
 def _chains_match_the_reference(a):
