@@ -26,20 +26,25 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     and rejects ε-cycles, so classify and witness verification prepare
     their input in that one pass (see _Core).  Growth is detected on the
     core's cube extended with marker transitions from (p, q, q)-states to
-    (p, p, q)-states.  The site search builds only the
-    part of that marked cube between the SCCs of p and of q: the first
-    coordinate stays in SCC(p), the third in SCC(q), and the second starts
-    in SCC(p) and moves only to states that reach SCC(q) (see _ida_sites).
-    Without exponential growth p and q lie in different SCCs, so the search
-    runs once per ordered pair of distinct cyclic SCCs, and needs no cube
-    at all when fewer than two SCCs are cyclic.  Its walks start from those
-    same closures, so only an EDA witness explores a square.  The same
+    (p, p, q)-states.  The site search builds only the part of that marked
+    cube between the SCCs of p and of q, a region: the first coordinate
+    stays in SCC(p), the third in SCC(q), and the second starts in SCC(p)
+    and moves only to states that reach SCC(q) (see _ida_sites).
+    Without exponential growth p and q lie in different SCCs, so a region
+    is an ordered pair of distinct cyclic SCCs, and no region exists when
+    fewer than two SCCs are cyclic.  ida_pairs walks every region,
+    ida_criterion stops at the first one with a site.  The walks start from
+    those same closures, so only an EDA witness explores a square.  The same
     region walk, started from one (p, p, q), is the point query behind
     witness verification, which only asks whether it reaches (p, q, q),
     and behind ida_witness, which alone reads the path back (see
     _site_walk); the full cube is never built.
   * The polynomial degree is the longest chain of such (p, q) sites along a
-    path of the core's condensation.
+    path of the core's condensation.  A DP visits the SCCs in topological
+    order and walks a region only while its site could lengthen the chain
+    into the region's lower SCC, which the first region with a site
+    settles (see _dpa_impl): on a ladder of k cyclic SCCs that is k − 1
+    region walks, not the k(k − 1)/2 of the full site search.
 
 Every positive answer can be backed by a witness that re-validates against
 the original automaton by direct path checks; core paths are expanded back
@@ -54,7 +59,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     EPSILON,
@@ -572,6 +577,60 @@ def _closures(core: _Core) -> dict[int, list[int]] | None:
     return closures
 
 
+def _region_starts(
+    core: _Core, closures: dict[int, list[int]]
+) -> dict[int, list[tuple[int, list[int]]]]:
+    """The walk starts of every region (C₁, C₃), as (C₁, starts) lists keyed by C₃.
+
+    The starts of region (C₁, C₃) are the (p, p, q) for every pair (p, q),
+    q ∈ C₃ ≠ C₁ cyclic, in the _pair_closure of C₁'s diagonal, in closure
+    order; they are bucketed by SCC(q) in one pass over each closure.  q is
+    reached from C₁, so C₃ < C₁.  Empty when fewer than two SCCs are
+    cyclic.
+    """
+    into: dict[int, list[tuple[int, list[int]]]] = {}
+    if len(closures) < 2:
+        return into
+    n, comp = core.n, core.comp
+    for c1, closed in closures.items():
+        starts: dict[int, list[int]] = {}
+        for code in closed:
+            p, q = divmod(code, n)
+            if (c3 := comp[q]) != c1 and c3 in closures:
+                starts.setdefault(c3, []).append((p * n + p) * n + q)
+        for c3, bucket in starts.items():
+            into.setdefault(c3, []).append((c1, bucket))
+    return into
+
+
+def _region_sites(core: _Core, mid: set[int], starts: list[int]) -> list[tuple[int, int]]:
+    """The sites of one region, by a _region_cube walk and one Tarjan pass.
+
+    The walk's marker sources (x, y, y) get their edge to (x, x, y), which
+    is a start (see _ida_sites), and (x, y) is a site iff the marker lies
+    inside an SCC of the region.
+    """
+    ids, arcs, marked, _ = _region_cube(core, mid, starts)
+    n = core.n
+    markers = []
+    for node, x, y in marked:
+        target = ids[(x * n + x) * n + y]
+        arcs[node].append(target)
+        markers.append((node, target, (x, y)))
+    scc, _ = strongly_connected_components(len(arcs), arcs)
+    return [pair for s, t, pair in markers if scc[s] == scc[t]]
+
+
+def _each_region_sites(
+    core: _Core, closures: dict[int, list[int]]
+) -> Iterator[list[tuple[int, int]]]:
+    """The _region_sites of every region, with one coreach pass per C₃."""
+    for c3, sources in _region_starts(core, closures).items():
+        mid = reachable(core.members[c3], core.backward)
+        for _, starts in sources:
+            yield _region_sites(core, mid, starts)
+
+
 def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     """IDA pairs of the ε-free core, in its own ids, by the marked-cube criterion.
 
@@ -583,20 +642,19 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     every cube move reads a symbol; each middle coordinate precedes the
     next marker, so it reaches C₃.  The search therefore runs once per
     ordered pair (C₁, C₃) of cyclic SCCs, on the region C₁ × coreach(C₃) ×
-    C₃, with one Tarjan pass over the region and its markers; coreach(C₃)
-    is computed when a region first has C₃, so an SCC that no closure
-    reaches, such as the top one, gets none.  Each middle coordinate also
-    follows a marker, so it lies in reach(C₁), but that bound needs no
-    filter: every walk starts with y ∈ C₁ and y only moves forward, so
-    each y the walk visits is in reach(C₁) already.
+    C₃, with one Tarjan pass over the region and its markers
+    (_region_sites); coreach(C₃) is computed once per C₃ that some region
+    has, so an SCC that no closure reaches, such as the top one, gets
+    none.  Each middle coordinate also follows a marker, so it lies in
+    reach(C₁), but that bound needs no filter: every walk starts with
+    y ∈ C₁ and y only moves forward, so each y the walk visits is in
+    reach(C₁) already.
 
     Returns None when growth is exponential (see _closures); without it
     no site joins two states of one SCC, so only pairs C₁ ≠ C₃ are
-    searched.  The region walks start from (p, p, q) for every pair
-    (p, q), q ∈ C₃ ≠ C₁, in the _pair_closure of C₁'s diagonal, computed
-    once per C₁ by _closures and bucketed by SCC(q) in one pass over it;
-    q is reached from C₁, so only the C₃ below C₁ get starts, and no
-    square is built.  These starts are exact:
+    searched.  The region walks start from the _region_starts, drawn from
+    the _pair_closure of C₁'s diagonal, so no square is built.  These
+    starts are exact:
       * every site's start is among them: the site's word w leads p → p
         and p → q, so (p, p) → (p, q) in the closure;
       * every marker target is a start, as the Tarjan pass needs: a region
@@ -612,43 +670,26 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     Every start is accessible in the cube, since (p, p) → (x, y) on w gives
     (p, p, p) → (x, x, y), and every path (p, p, q) → (p, q, q) lies in the
     region, which is why _site_walk finds the witness paths there.
+
+    This is the full site search, for ida_pairs; the degree needs far fewer
+    regions (see _dpa_impl), and ida_criterion stops at the first site.
     """
     if (closures := _closures(core)) is None:
         return None
-    if len(closures) < 2:
-        return set()
-    n, members, comp = core.n, core.members, core.comp
-    up: dict[int, set[int]] = {}
-    sites: set[tuple[int, int]] = set()
-    for c1, closed in closures.items():
-        starts: dict[int, list[int]] = {}
-        for code in closed:
-            p, q = divmod(code, n)
-            if (c3 := comp[q]) != c1 and c3 in closures:
-                starts.setdefault(c3, []).append((p * n + p) * n + q)
-        for c3 in sorted(starts):
-            if (mid := up.get(c3)) is None:
-                mid = up[c3] = reachable(members[c3], core.backward)
-            ids, arcs, marked, _ = _region_cube(core, mid, starts[c3])
-            markers = []
-            for node, x, y in marked:
-                target = ids[(x * n + x) * n + y]  # (x, x, y) is a start
-                arcs[node].append(target)
-                markers.append((node, target, (x, y)))
-            scc, _ = strongly_connected_components(len(arcs), arcs)
-            sites.update(pair for s, t, pair in markers if scc[s] == scc[t])
-    return sites
+    return {site for sites in _each_region_sites(core, closures) for site in sites}
 
 
 def ida_criterion(a: FiniteAutomaton) -> bool:
     """True iff path counts grow without bound (polynomially or worse).
 
     Decided as _growth decides it: exponential growth is unbounded, and
-    below it a site is what makes growth unbounded.
+    below it a site is what makes growth unbounded, so the region search
+    stops at the first region that has one.
     """
     _require_analyzable(a)
-    sites = _ida_sites(_epsilon_core(a))
-    return sites is None or bool(sites)
+    core = _epsilon_core(a)
+    closures = _closures(core)
+    return closures is None or any(_each_region_sites(core, closures))
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
@@ -729,36 +770,57 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     return witness
 
 
-def _dpa_impl(core: _Core, pairs: set[tuple[int, int]]) -> tuple[int, DPAWitness | None]:
-    """Longest chain of the core's sites `pairs` along one condensation path.
+def _dpa_impl(core: _Core, closures: dict[int, list[int]]) -> tuple[int, DPAWitness | None]:
+    """Longest chain of the core's sites along one condensation path.
 
-    No EDA is allowed.  The witness names the sites by the states of the
-    automaton behind the core.
+    closures are the core's _closures, so no EDA is allowed.  best(C) is
+    the longest chain ending in SCC C.  The SCCs are visited in descending
+    component id, a topological order, and best(C₃) starts at the highest
+    best over C₃'s condensation predecessors, read off `backward`.  Then
+    the cyclic C₁ with region starts into C₃ are tried in descending
+    (best(C₁), C₁), and region (C₁, C₃) is walked (_region_sites) only
+    while it could improve on C₃'s parent; the first region with a site
+    settles C₃.  This is exact: C₁ > C₃, so best(C₁) is final before C₃ is
+    visited, and a region without a site only lets the next one be tried.
+    So most regions are never walked: on a ladder of k cyclic SCCs, k − 1
+    of the k(k − 1)/2 that _ida_sites walks.
+
+    The chain is the one a relaxation of every plain condensation edge and
+    every site would give, with its tie-break: sources in descending id,
+    plain edges before sites, sites in sorted (p, q) order, and only a
+    strict gain replaces a parent.  So a site of C₁
+    replaces C₃'s parent iff (best(C₁) + 1, C₁) exceeds (best, source) of
+    the parent, also on a tie with a plain parent of lower id, and the
+    smallest site of the region is the link.  The witness names the sites
+    by the states of the automaton behind the core.
     """
-    if not pairs:
+    if not (into := _region_starts(core, closures)):
         return 0, None
-    comp, count = core.comp, len(core.members)
-    out: list[list[tuple[int, int, tuple[int, int] | None]]] = [[] for _ in range(count)]
-    # plain condensation edges first: under the strict gain below, neither
-    # their order nor a repeat of one changes best or parent
-    for dst, srcs in enumerate(core.backward):
-        for src in srcs:
-            if (cu := comp[src]) != (cv := comp[dst]):
-                out[cu].append((cv, 0, None))
-    for p, q in sorted(pairs):
-        cp, cq = comp[p], comp[q]
-        if cp <= cq:
-            raise InternalInvariantViolation(
-                "site ordering contradicts the component order"
-            )
-        out[cp].append((cq, 1, (p, q)))
+    comp, members, backward = core.comp, core.members, core.backward
+    count = len(members)
     best = [0] * count
     parent: list[tuple[int, tuple[int, int] | None] | None] = [None] * count
-    for c in range(count - 1, -1, -1):
-        for dst, weight, tag in out[c]:
-            if best[c] + weight > best[dst]:
-                best[dst] = best[c] + weight
-                parent[dst] = (c, tag)
+    for c3 in range(count - 1, -1, -1):
+        # the highest-id predecessor of the highest best; only a gain over 0 is a parent
+        top = (0, -1)
+        for s in members[c3]:
+            for src in backward[s]:
+                if (c := comp[src]) != c3 and (best[c], c) > top:
+                    top = (best[c], c)
+        if top[0]:
+            parent[c3] = (top[1], None)
+        mid = None
+        sources = into.get(c3, ())
+        for c1, starts in sorted(sources, key=lambda src: (best[src[0]], src[0]), reverse=True):
+            if (best[c1] + 1, c1) <= top:
+                break
+            if mid is None:
+                mid = reachable(members[c3], backward)
+            if sites := _region_sites(core, mid, starts):
+                top = (best[c1] + 1, c1)
+                parent[c3] = (c1, min(sites))
+                break
+        best[c3] = top[0]
     degree = max(best)
     if degree == 0:
         return degree, None
@@ -779,15 +841,16 @@ def _growth(t: FiniteAutomaton) -> tuple[int | None, DPAWitness | None]:
     """Growth of an automaton from its ε-free core (see _epsilon_core).
 
     Returns (None, None) when growth is exponential, which _closures
-    decides on the core alone; else (degree, DPA witness).  The sites, all
-    between two distinct SCCs once EDA is excluded, come from the SCC-pair
-    regions of the core's cube (see _ida_sites for why their starts are
-    exact), so this path builds no product.
+    decides on the core alone; else (degree, DPA witness) of the pruned
+    chain DP, whose sites, all between two distinct SCCs once EDA is
+    excluded, come from the SCC-pair regions of the core's cube (see
+    _ida_sites for why their starts are exact), so this path builds no
+    product.
     """
     core = _epsilon_core(t)
-    if (sites := _ida_sites(core)) is None:
+    if (closures := _closures(core)) is None:
         return None, None
-    return _dpa_impl(core, sites)
+    return _dpa_impl(core, closures)
 
 
 def dpa(a: FiniteAutomaton) -> int:

@@ -356,8 +356,9 @@ def tarjan_passes(monkeypatch):
 
 def test_classify_runs_one_tarjan_pass_over_the_core(tarjan_passes):
     assert classify(EX_POLY2, want_witness=True).degree == 2
-    # the core (3 states), then the three SCC-pair regions
-    assert tarjan_passes == [3, 2, 3, 2]
+    # the core (3 states), then the two SCC-pair regions of the chain; the
+    # pruned DP never walks the third, (top, bottom)
+    assert tarjan_passes == [3, 2, 2]
 
 
 def test_folded_multiplicity_comes_from_the_core_pass(tarjan_passes):
@@ -499,6 +500,43 @@ def test_polynomial_chain_of_300_states_classifies_in_time():
     assert verify_witness(a, r.witness)
 
 
+@pytest.mark.parametrize(
+    "a, degree", [(_ladder(500), 499), (_block_chain(250), 249)], ids=["ladder500", "chain250"]
+)
+def test_polynomial_input_at_the_documented_scale_classifies_in_time(a, degree):
+    assert a.num_transitions == 999
+    start = time.perf_counter()
+    r = classify(a, want_witness=True)
+    verified = verify_witness(a, r.witness)
+    elapsed = time.perf_counter() - start
+    assert (r.kind, r.degree, verified) == (P, degree, True)
+    assert elapsed < 10.0, f"classify and verify_witness took {elapsed:.1f} s"
+    assert dpa(a) == degree
+
+
+def test_ida_criterion_stops_at_the_first_region_with_a_site(region_walks):
+    """On a chain of 250 blocks the full site search walks 250·249/2
+    regions; ida_criterion needs the first one that has a site."""
+    a = _block_chain(250)
+    start = time.perf_counter()
+    assert ida_criterion(a)
+    elapsed = time.perf_counter() - start
+    assert len(region_walks) == 1
+    assert elapsed < 10.0, f"ida_criterion took {elapsed:.1f} s"
+
+
+def test_degree_walks_one_region_per_settled_scc(region_walks):
+    """The pruned chain DP settles each SCC of a ladder below the top with
+    the first region it tries, (the SCC just above, this SCC): 7 regions
+    on _ladder(8), where the full site search walks all 28 pairs."""
+    a = _ladder(8)
+    assert classify(a, want_witness=True).degree == 7
+    assert len(region_walks) == 7
+    region_walks.clear()
+    assert len(_ida_sites(_epsilon_core(a))) == 28
+    assert len(region_walks) == 28
+
+
 def test_ida_witness_on_a_240_state_chain_runs_in_time():
     a = _block_chain(80)
     start = time.perf_counter()
@@ -570,7 +608,7 @@ def test_region_sites_match_the_full_cube_sites():
 
 
 @st.composite
-def _small_epsilon_nfas(draw, max_states=5, diamonds=False, rungs=False):
+def _small_epsilon_nfas(draw, max_states=5, diamonds=False, rungs=False, spines=False):
     n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     edges = draw(st.sets(st.tuples(state, st.sampled_from(["a", "b", EPSILON]), state), max_size=10))
@@ -586,10 +624,19 @@ def _small_epsilon_nfas(draw, max_states=5, diamonds=False, rungs=False):
         # middle path passes a third SCC, unless other edges merge them
         s0, s1, s2 = draw(st.lists(state, min_size=3, max_size=3, unique=True))
         edges |= {(s0, "a", s0), (s0, "a", s1), (s1, "a", s2), (s2, "a", s2)}
+    spine = []
+    if spines and n >= 3 and draw(st.booleans()):
+        # looped states on a path from an initial to a final one: a chain of
+        # cyclic SCCs, unless other edges merge them, whose sources other
+        # edges may make tie for a link (see _site_ties)
+        spine = draw(st.lists(state, min_size=3, max_size=n, unique=True))
+        symbol = st.sampled_from(["a", "b"])
+        edges |= {(s, draw(symbol), s) for s in spine}
+        edges |= {(s, draw(symbol), d) for s, d in zip(spine, spine[1:])}
     # ε-edges only run upward, so there is no ε-cycle
     edges = [(s, x, d) for s, x, d in edges if x != EPSILON or s < d]
-    initial = draw(st.sets(state, min_size=1, max_size=2))
-    final = draw(st.sets(state, min_size=1, max_size=2))
+    initial = draw(st.sets(state, min_size=1, max_size=2)) | set(spine[:1])
+    final = draw(st.sets(state, min_size=1, max_size=2)) | set(spine[-1:])
     return trim(validate(("a", "b"), n, initial, final, edges))
 
 
@@ -682,6 +729,66 @@ def test_dpa_witnesses_are_the_reference_chains():
     chains = [_ladder(16), _block_chain(3), _block_chain(4)]
     degrees = [_chains_match_the_reference(a) for a in fixtures + corpus + chains]
     assert len(corpus) == 78 and degrees[-3:] == [15, 2, 3]
+
+
+def test_dpa_witnesses_under_ties_are_the_reference_chains():
+    """Where sources tie for an SCC, the reference DP keeps the first one:
+    sources in descending component id, plain edges before sites."""
+    # two top SCCs of equal best 0, each with a site into {2}
+    a = validate(
+        ("a",), 3, [0, 1], [2],
+        [(0, "a", 0), (1, "a", 1), (2, "a", 2), (0, "a", 2), (1, "a", 2)],
+    )
+    high = max(0, 1, key=_epsilon_core(a).comp.__getitem__)
+    assert _chains_match_the_reference(a) == 1
+    assert classify(a, want_witness=True).witness.pairs == ((high, 2),)
+    # {1} reaches {2} by a plain c-edge with best 1, from its own site
+    # (0, 1) on c; the site (3, 2) on b gives 0 + 1 as well, from a higher id
+    b = validate(
+        ("a", "b", "c"), 4, [0, 3], [2],
+        [(0, "c", 0), (1, "c", 1), (2, "a", 2), (2, "b", 2), (3, "b", 3),
+         (0, "c", 1), (1, "c", 2), (3, "b", 2)],
+    )
+    comp = _epsilon_core(b).comp
+    assert comp[3] > comp[1]
+    assert _chains_match_the_reference(b) == 1
+    assert classify(b, want_witness=True).witness.pairs == ((3, 2),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_small_epsilon_nfas(max_states=6, diamonds=True, rungs=True, spines=True))
+def test_dpa_witnesses_are_the_reference_chains_on_random_inputs(a):
+    # chains, and ties between their sources, need several cyclic SCCs;
+    # steer towards them and towards ties that a site takes part in
+    core = _epsilon_core(a)
+    target(float(sum(bool(core.inner[s[0]]) for s in core.members)), label="cyclic SCCs")
+    if not eda_criterion(a):
+        _chains_match_the_reference(a)
+        tied, won = _site_ties(core, _ida_sites(core))
+        target(float(tied), label="ties with a site")
+        target(float(won), label="ties a site wins")
+
+
+def _site_ties(core, sites):
+    """(tied, won): how many SCCs have two sources of their best, at least
+    one of them a site, and how many of those take a site as parent, in
+    the longest-chain DP over the core's sites.  A source is a plain
+    predecessor SCC, with its best, or the SCC of a site's p, with its
+    best plus one; the parent is the highest-id source, plain before site."""
+    comp, count = core.comp, len(core.members)
+    into = [set() for _ in range(count)]
+    for dst, srcs in enumerate(core.backward):
+        into[comp[dst]].update((comp[src], 0) for src in srcs if comp[src] != comp[dst])
+    for p, q in sites:
+        into[comp[q]].add((comp[p], 1))
+    best, tied, won = [0] * count, 0, 0
+    for c in range(count - 1, -1, -1):
+        best[c] = max((best[s] + w for s, w in into[c]), default=0)
+        top = [(s, -w) for s, w in into[c] if best[s] + w == best[c] > 0]
+        if len(top) > 1 and any(w for _, w in top):
+            tied += 1
+            won += max(top)[1] < 0
+    return tied, won
 
 
 def _eda_verdicts_match_the_square_scc_search(a):
