@@ -23,22 +23,23 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     runs on an ε-free core of A where every remaining cycle/path/cycle
     configuration genuinely pumps.  _epsilon_core builds that core, with
     its SCCs and id maps, once per entry point; the build trims its input
-    and rejects ε-cycles, so classify and witness verification prepare
-    their input in that one pass (see _Core).  Growth is detected on the
-    core's cube extended with marker transitions from (p, q, q)-states to
-    (p, p, q)-states.  The site search builds only the part of that marked
-    cube between the SCCs of p and of q, a region: the first coordinate
-    stays in SCC(p), the third in SCC(q), and the second starts in SCC(p)
-    and moves only to states that reach SCC(q) (see _ida_sites).
+    and rejects ε-cycles, so classify, witness verification and the
+    low-level probes prepare their input in that one pass (see _Core and
+    _require_analyzable).  Growth is detected on the core's cube extended
+    with marker transitions from (p, q, q)-states to (p, p, q)-states.  The
+    site search builds only the part of that marked cube between the SCCs
+    of p and of q, a region: the first coordinate stays in SCC(p), the
+    third in SCC(q), and the second starts in SCC(p) and moves only to
+    states that reach SCC(q) (see _ida_sites).
     Without exponential growth p and q lie in different SCCs, so a region
     is an ordered pair of distinct cyclic SCCs, and no region exists when
     fewer than two SCCs are cyclic.  ida_pairs walks every region,
     ida_criterion stops at the first one with a site.  The walks start from
-    those same closures, so only an EDA witness explores a square.  The same
-    region walk, started from one (p, p, q), is the point query behind
-    witness verification, which only asks whether it reaches (p, q, q),
-    and behind ida_witness, which alone reads the path back (see
-    _site_walk); the full cube is never built.
+    the region starts those same closures emit, so only an EDA witness
+    explores a square.  The same region walk, started from one (p, p, q),
+    is the point query behind witness verification, which only asks
+    whether it reaches (p, q, q), and behind ida_witness, which alone reads
+    the path back (see _site_walk); the full cube is never built.
   * The polynomial degree is the longest chain of such (p, q) sites along a
     path of the core's condensation.  A DP visits the SCCs in topological
     order and walks a region only while its site could lengthen the chain
@@ -66,7 +67,6 @@ from .core import (
     FiniteAutomaton,
     Transition,
     _trim,
-    has_epsilon_cycle,
     is_trim,
     is_valid_path,
     path_label,
@@ -140,6 +140,9 @@ class DPAWitness:
 
 Witness = EDAWitness | IDAWitness | DPAWitness
 
+#: The start map of _closures: region starts as (C₁, starts) lists keyed by C₃.
+_Starts = dict[int, list[tuple[int, list[int]]]]
+
 
 @dataclass(frozen=True)
 class AmbiguityReport:
@@ -159,13 +162,6 @@ class AmbiguityReport:
         if self.witness is not None:
             doc["witness"] = self.witness.as_dict()
         return doc
-
-
-def _require_analyzable(a: FiniteAutomaton) -> None:
-    if has_epsilon_cycle(a):
-        raise EpsilonCycleInput("analysis requires an ε-cycle-free automaton")
-    if not is_trim(a):
-        raise NotTrim("analysis requires a trim automaton")
 
 
 class _Core(NamedTuple):
@@ -313,6 +309,23 @@ def _epsilon_core(t: FiniteAutomaton) -> _Core:
     )
 
 
+def _require_analyzable(a: FiniteAutomaton) -> _Core:
+    """The _Core of a, which the low-level probes need trim and ε-cycle-free.
+
+    The core build is the input check, in one pass: it rejects every
+    ε-cycle, reported here with the probes' own text, and every core state
+    is useful in a, so a core as large as a proves a trim.  Only a smaller
+    core costs a second useful-states pass, is_trim's.
+    """
+    try:
+        core = _epsilon_core(a)
+    except EpsilonCycleInput:
+        raise EpsilonCycleInput("analysis requires an ε-cycle-free automaton") from None
+    if core.n < a.num_states and not is_trim(a):
+        raise NotTrim("analysis requires a trim automaton")
+    return core
+
+
 def _lift_path(lifts: tuple[tuple[int, ...], ...], path: Iterable[int]) -> tuple[int, ...]:
     """Expand a core path back into the t-transition indices it stands for."""
     return tuple(i for step in path for i in lifts[step])
@@ -320,13 +333,17 @@ def _lift_path(lifts: tuple[tuple[int, ...], ...], path: Iterable[int]) -> tuple
 
 def eda_criterion(a: FiniteAutomaton) -> bool:
     """True iff one state carries two distinct cycles sharing a label."""
-    _require_analyzable(a)
-    return _closures(_epsilon_core(a)) is None
+    return _closures(_require_analyzable(a)) is None
 
 
 def eda_witness(a: FiniteAutomaton) -> EDAWitness | None:
-    """Extract two distinct same-labeled cycles, or None if there are none."""
-    _require_analyzable(a)
+    """Extract two distinct same-labeled cycles, or None if there are none.
+
+    _closures decides whether there are any, so only exponential input
+    gets a square.
+    """
+    if _closures(_require_analyzable(a)) is not None:
+        return None
     return _find_eda_scc(a)
 
 
@@ -506,16 +523,18 @@ def _region_cube(
     return ids, arcs, marked, parents
 
 
-def _pair_closure(core: _Core, states: Sequence[int]) -> list[int] | None:
-    """The closure of the diagonal {(p, p) : p ∈ C} of a cyclic SCC C.
+def _pair_closure(core: _Core, scc: int, cyclic: Sequence[bool]) -> dict[int, list[int]] | None:
+    """The closure of the diagonal {(p, p) : p ∈ C} of a cyclic SCC C, as region starts.
 
     A pair (x, y) is coded x·n + y.  A move reads one symbol on both
     coordinates: x along the inner arcs of C, y along any arc of the core,
     so x stays in C and y in reach(C); the core is ε-free, so no filter
-    coordinate is needed.  Codes come in the order a depth-first walk
-    discovers them.  The walk returns None at the first move from an
-    off-diagonal pair into the diagonal; without exponential growth there
-    is none, and the closure is complete.
+    coordinate is needed.  A depth-first walk discovers the pairs, and each
+    pair (x, y) with y in another cyclic SCC C₃ gives the start (x, x, y)
+    of region (C, C₃) (see _ida_sites); the starts are returned bucketed
+    by C₃, in discovery order.  The walk returns None at the first move
+    from an off-diagonal pair into the diagonal; without exponential
+    growth there is none, and the closure is complete.
 
     The automaton t behind the core grows exponentially (EDA) iff
     multiplicity is set (see _Core) or such a move exists for some C,
@@ -536,10 +555,10 @@ def _pair_closure(core: _Core, states: Sequence[int]) -> list[int] | None:
         (d, d) closes the cycle (p, p) → (x, y) → (d, d) → (p, p), whose
         states are useful in the square because the core is trim.
     """
-    n, inner, succ = core.n, core.inner, core.succ
-    closed = [p * n + p for p in states]
-    seen = set(closed)
-    stack = list(closed)
+    n, inner, succ, comp = core.n, core.inner, core.succ, core.comp
+    stack = [p * n + p for p in core.members[scc]]
+    seen = set(stack)
+    starts: dict[int, list[int]] = {}
     while stack:
         x, y = divmod(stack.pop(), n)
         ys = succ[y]
@@ -552,15 +571,21 @@ def _pair_closure(core: _Core, states: Sequence[int]) -> list[int] | None:
                 for y2 in y2s:
                     if (c := base + y2) not in seen:
                         seen.add(c)
-                        closed.append(c)
                         stack.append(c)
+                        if (c3 := comp[y2]) != scc and cyclic[c3]:
+                            starts.setdefault(c3, []).append((base + x2) * n + y2)
                     elif x2 == y2 and x != y:
                         return None
-    return closed
+    return starts
 
 
-def _closures(core: _Core) -> dict[int, list[int]] | None:
-    """The _pair_closure of every cyclic SCC of the core, keyed by SCC id.
+def _closures(core: _Core) -> _Starts | None:
+    """The start map: the walk starts of every region (C₁, C₃), keyed by C₃.
+
+    They are what the _pair_closure of each cyclic SCC C₁ yields, as
+    (C₁, starts) lists in ascending C₁, the order the closures run in.  q
+    is reached from C₁ in a start (p, p, q), so C₃ < C₁.  The map is empty
+    when fewer than two SCCs are cyclic.
 
     None when the automaton behind the core grows exponentially: when
     multiplicity is set or some closure steps back into the diagonal (see
@@ -568,38 +593,14 @@ def _closures(core: _Core) -> dict[int, list[int]] | None:
     """
     if core.multiplicity:
         return None
-    closures: dict[int, list[int]] = {}
-    for c, states in enumerate(core.members):
-        if core.inner[states[0]]:
-            if (closed := _pair_closure(core, states)) is None:
+    cyclic = [bool(core.inner[states[0]]) for states in core.members]
+    into: _Starts = {}
+    for c1, is_cyclic in enumerate(cyclic):
+        if is_cyclic:
+            if (starts := _pair_closure(core, c1, cyclic)) is None:
                 return None
-            closures[c] = closed
-    return closures
-
-
-def _region_starts(
-    core: _Core, closures: dict[int, list[int]]
-) -> dict[int, list[tuple[int, list[int]]]]:
-    """The walk starts of every region (C₁, C₃), as (C₁, starts) lists keyed by C₃.
-
-    The starts of region (C₁, C₃) are the (p, p, q) for every pair (p, q),
-    q ∈ C₃ ≠ C₁ cyclic, in the _pair_closure of C₁'s diagonal, in closure
-    order; they are bucketed by SCC(q) in one pass over each closure.  q is
-    reached from C₁, so C₃ < C₁.  Empty when fewer than two SCCs are
-    cyclic.
-    """
-    into: dict[int, list[tuple[int, list[int]]]] = {}
-    if len(closures) < 2:
-        return into
-    n, comp = core.n, core.comp
-    for c1, closed in closures.items():
-        starts: dict[int, list[int]] = {}
-        for code in closed:
-            p, q = divmod(code, n)
-            if (c3 := comp[q]) != c1 and c3 in closures:
-                starts.setdefault(c3, []).append((p * n + p) * n + q)
-        for c3, bucket in starts.items():
-            into.setdefault(c3, []).append((c1, bucket))
+            for c3, bucket in starts.items():
+                into.setdefault(c3, []).append((c1, bucket))
     return into
 
 
@@ -621,11 +622,9 @@ def _region_sites(core: _Core, mid: set[int], starts: list[int]) -> list[tuple[i
     return [pair for s, t, pair in markers if scc[s] == scc[t]]
 
 
-def _each_region_sites(
-    core: _Core, closures: dict[int, list[int]]
-) -> Iterator[list[tuple[int, int]]]:
-    """The _region_sites of every region, with one coreach pass per C₃."""
-    for c3, sources in _region_starts(core, closures).items():
+def _each_region_sites(core: _Core, into: _Starts) -> Iterator[list[tuple[int, int]]]:
+    """The _region_sites of every region of a start map, with one coreach pass per C₃."""
+    for c3, sources in into.items():
         mid = reachable(core.members[c3], core.backward)
         for _, starts in sources:
             yield _region_sites(core, mid, starts)
@@ -652,9 +651,9 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
 
     Returns None when growth is exponential (see _closures); without it
     no site joins two states of one SCC, so only pairs C₁ ≠ C₃ are
-    searched.  The region walks start from the _region_starts, drawn from
-    the _pair_closure of C₁'s diagonal, so no square is built.  These
-    starts are exact:
+    searched.  The region walks start from the start map of _closures,
+    which the _pair_closure of C₁'s diagonal fills, so no square is built.
+    These starts are exact:
       * every site's start is among them: the site's word w leads p → p
         and p → q, so (p, p) → (p, q) in the closure;
       * every marker target is a start, as the Tarjan pass needs: a region
@@ -674,9 +673,9 @@ def _ida_sites(core: _Core) -> set[tuple[int, int]] | None:
     This is the full site search, for ida_pairs; the degree needs far fewer
     regions (see _dpa_impl), and ida_criterion stops at the first site.
     """
-    if (closures := _closures(core)) is None:
+    if (into := _closures(core)) is None:
         return None
-    return {site for sites in _each_region_sites(core, closures) for site in sites}
+    return {site for sites in _each_region_sites(core, into) for site in sites}
 
 
 def ida_criterion(a: FiniteAutomaton) -> bool:
@@ -686,10 +685,9 @@ def ida_criterion(a: FiniteAutomaton) -> bool:
     below it a site is what makes growth unbounded, so the region search
     stops at the first region that has one.
     """
-    _require_analyzable(a)
-    core = _epsilon_core(a)
-    closures = _closures(core)
-    return closures is None or any(_each_region_sites(core, closures))
+    core = _require_analyzable(a)
+    into = _closures(core)
+    return into is None or any(_each_region_sites(core, into))
 
 
 def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
@@ -701,8 +699,7 @@ def ida_pairs(a: FiniteAutomaton) -> frozenset[tuple[int, int]]:
     Sites are defined only below exponential growth: on exponential input
     this raises ExponentiallyAmbiguousInput, as dpa does.
     """
-    _require_analyzable(a)
-    core = _epsilon_core(a)
+    core = _require_analyzable(a)
     if (sites := _ida_sites(core)) is None:
         raise ExponentiallyAmbiguousInput("growth is exponential; sites are undefined")
     order = core.order
@@ -736,10 +733,9 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     the order of _region_cube.  Returns None when there is no such path,
     i.e. when the pair pumps nothing.
     """
-    _require_analyzable(a)
+    core = _require_analyzable(a)
     if p == q:
         return None
-    core = _epsilon_core(a)
     cp, cq = core.back.get(p), core.back.get(q)
     if cp is None or cq is None or (tree := _site_walk(core, cp, cq)) is None:
         return None
@@ -770,14 +766,14 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
     return witness
 
 
-def _dpa_impl(core: _Core, closures: dict[int, list[int]]) -> tuple[int, DPAWitness | None]:
+def _dpa_impl(core: _Core, into: _Starts) -> tuple[int, DPAWitness | None]:
     """Longest chain of the core's sites along one condensation path.
 
-    closures are the core's _closures, so no EDA is allowed.  best(C) is
-    the longest chain ending in SCC C.  The SCCs are visited in descending
-    component id, a topological order, and best(C₃) starts at the highest
-    best over C₃'s condensation predecessors, read off `backward`.  Then
-    the cyclic C₁ with region starts into C₃ are tried in descending
+    into is the core's start map (see _closures), so no EDA is allowed.
+    best(C) is the longest chain ending in SCC C.  The SCCs are visited in
+    descending component id, a topological order, and best(C₃) starts at
+    the highest best over C₃'s condensation predecessors, read off
+    `backward`.  Then the cyclic C₁ with starts into C₃ are tried in descending
     (best(C₁), C₁), and region (C₁, C₃) is walked (_region_sites) only
     while it could improve on C₃'s parent; the first region with a site
     settles C₃.  This is exact: C₁ > C₃, so best(C₁) is final before C₃ is
@@ -794,7 +790,7 @@ def _dpa_impl(core: _Core, closures: dict[int, list[int]]) -> tuple[int, DPAWitn
     smallest site of the region is the link.  The witness names the sites
     by the states of the automaton behind the core.
     """
-    if not (into := _region_starts(core, closures)):
+    if not into:
         return 0, None
     comp, members, backward = core.comp, core.members, core.backward
     count = len(members)
@@ -837,7 +833,7 @@ def _dpa_impl(core: _Core, closures: dict[int, list[int]]) -> tuple[int, DPAWitn
     return degree, DPAWitness(pairs=tuple((order[p], order[q]) for p, q in chain))
 
 
-def _growth(t: FiniteAutomaton) -> tuple[int | None, DPAWitness | None]:
+def _growth(core: _Core) -> tuple[int | None, DPAWitness | None]:
     """Growth of an automaton from its ε-free core (see _epsilon_core).
 
     Returns (None, None) when growth is exponential, which _closures
@@ -847,10 +843,9 @@ def _growth(t: FiniteAutomaton) -> tuple[int | None, DPAWitness | None]:
     _ida_sites for why their starts are exact), so this path builds no
     product.
     """
-    core = _epsilon_core(t)
-    if (closures := _closures(core)) is None:
+    if (into := _closures(core)) is None:
         return None, None
-    return _dpa_impl(core, closures)
+    return _dpa_impl(core, into)
 
 
 def dpa(a: FiniteAutomaton) -> int:
@@ -860,8 +855,7 @@ def dpa(a: FiniteAutomaton) -> int:
 
 def dpa_with_witness(a: FiniteAutomaton) -> tuple[int, DPAWitness | None]:
     """Like dpa(), also returning the chain of sites realizing the degree."""
-    _require_analyzable(a)
-    degree, witness = _growth(a)
+    degree, witness = _growth(_require_analyzable(a))
     if degree is None:
         raise ExponentiallyAmbiguousInput("growth is exponential; no polynomial degree")
     return degree, witness
@@ -875,7 +869,7 @@ def classify(a: FiniteAutomaton, want_witness: bool = False) -> AmbiguityReport:
     states and transition indices of the automaton as passed in, not of
     its trimmed core.
     """
-    degree, witness = _growth(a)
+    degree, witness = _growth(_epsilon_core(a))
     if degree is None:
         if not want_witness:
             return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, None)

@@ -24,6 +24,7 @@ from functools import lru_cache
 import pytest
 
 from artifact.analysis import AmbiguityClass, classify
+from artifact.core import validate
 from artifact.entropy import brute_entropy, validate_probabilistic
 from artifact.errors import MassNotOne, NonConvergent
 from artifact.oracle import random_automaton
@@ -168,6 +169,37 @@ def build_prob50():
 def build_scale_instance():
     """The ≈1000-transition exponential instance of acceptance 9 (354 states)."""
     return random_automaton(400, 3, 2.23e-3, 1.25e-3, seed=810_008)
+
+
+#: the chain DP's ties: two top SCCs of equal best 0, each with a site into {2}
+TIE_OF_SITES = validate(
+    ("a",), 3, [0, 1], [2],
+    [(0, "a", 0), (1, "a", 1), (2, "a", 2), (0, "a", 2), (1, "a", 2)],
+)
+#: {1} reaches {2} by a plain c-edge with best 1, from its own site (0, 1)
+#: on c; the site (3, 2) on b gives 0 + 1 as well, from a higher id
+TIE_WITH_A_PLAIN_EDGE = validate(
+    ("a", "b", "c"), 4, [0, 3], [2],
+    [(0, "c", 0), (1, "c", 1), (2, "a", 2), (2, "b", 2), (3, "b", 3),
+     (0, "c", 1), (1, "c", 2), (3, "b", 2)],
+)
+
+
+def ladder(k):
+    """k a-loops joined by a-edges into a chain: degree k − 1."""
+    edges = [(i, "a", i) for i in range(k)] + [(i, "a", i + 1) for i in range(k - 1)]
+    return validate(("a",), k, [0], [k - 1], edges)
+
+
+def block_chain(blocks):
+    """3-cycles on 'a' whose entries are chained by 'a'-edges: degree blocks − 1."""
+    edges = []
+    for b in range(blocks):
+        e = 3 * b
+        edges += [(e, "a", e + 1), (e + 1, "a", e + 2), (e + 2, "a", e)]
+        if b + 1 < blocks:
+            edges.append((e, "a", e + 3))
+    return validate(("a",), 3 * blocks, [0], [3 * (blocks - 1)], edges)
 
 
 @pytest.fixture(scope="session")

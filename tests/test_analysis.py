@@ -11,9 +11,10 @@ from artifact.analysis import (
     AmbiguityClass,
     DPAWitness,
     EDAWitness,
+    _closures,
     _epsilon_core,
+    _find_eda_scc,
     _ida_sites,
-    _pair_closure,
     classify,
     dpa,
     dpa_with_witness,
@@ -43,7 +44,15 @@ from artifact.product import cube
 import reference_dpa
 import reference_eda
 import reference_sites
-from conftest import build_corpus100, build_scale_instance, running_max
+from conftest import (
+    TIE_OF_SITES,
+    TIE_WITH_A_PLAIN_EDGE,
+    block_chain,
+    build_corpus100,
+    build_scale_instance,
+    ladder,
+    running_max,
+)
 
 F = AmbiguityClass.FINITE
 P = AmbiguityClass.POLYNOMIAL
@@ -323,19 +332,22 @@ def product_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("check", [eda_criterion, eda_witness])
-def test_eda_checks_validate_their_input_once(monkeypatch, check):
-    from artifact import analysis, product
+@pytest.mark.parametrize(
+    "probe",
+    [classify, dpa, eda_criterion, eda_witness, ida_criterion, ida_pairs],
+    ids=lambda probe: probe.__name__,
+)
+def test_entry_points_validate_their_input_once(monkeypatch, probe):
+    """The core build is the input check: one useful_states pass per call,
+    the core's trim, and a second one only when the core has fewer states
+    than the input."""
+    from artifact import core
 
-    calls = []
-    for module in (analysis, product):
-        for name in ("has_epsilon_cycle", "is_trim"):
-            fn = getattr(module, name)
-            monkeypatch.setattr(
-                module, name, lambda a, fn=fn, name=name: calls.append(name) or fn(a)
-            )
-    assert not check(EX_POLY2)
-    assert sorted(calls) == ["has_epsilon_cycle", "is_trim"]
+    passes = []
+    useful = core.useful_states
+    monkeypatch.setattr(core, "useful_states", lambda a: passes.append(a) or useful(a))
+    probe(EX_POLY2)
+    assert len(passes) == 1
 
 
 @pytest.fixture
@@ -374,11 +386,6 @@ def test_folded_multiplicity_comes_from_the_core_pass(tarjan_passes):
     assert (classify(a).kind, _epsilon_core(a).multiplicity) == (F, False)
     # the core (2 states), once per call
     assert tarjan_passes == [2, 2]
-
-
-def _ladder(k):
-    edges = [(i, "a", i) for i in range(k)] + [(i, "a", i + 1) for i in range(k - 1)]
-    return validate(("a",), k, [0], [k - 1], edges)
 
 
 def test_classify_builds_a_square_only_for_an_eda_witness(product_builds):
@@ -449,7 +456,7 @@ def test_ida_pairs_refuses_the_scale_instance_without_a_region_walk(region_walks
     assert elapsed < 1.0, f"ida_pairs took {elapsed:.2f} s"
 
 
-@pytest.mark.parametrize("a", [EX_POLY2, _ladder(5)], ids=["poly2", "ladder5"])
+@pytest.mark.parametrize("a", [EX_POLY2, ladder(5)], ids=["poly2", "ladder5"])
 def test_chain_verification_builds_no_product(product_builds, a):
     degree, witness = dpa_with_witness(a)
     assert degree == a.num_states - 1
@@ -464,20 +471,9 @@ def test_ida_witness_builds_no_product(product_builds, a):
     assert product_builds == []
 
 
-def _block_chain(blocks):
-    """3-cycles on 'a' whose entries are chained by 'a'-edges: degree blocks − 1."""
-    edges = []
-    for b in range(blocks):
-        e = 3 * b
-        edges += [(e, "a", e + 1), (e + 1, "a", e + 2), (e + 2, "a", e)]
-        if b + 1 < blocks:
-            edges.append((e, "a", e + 3))
-    return validate(("a",), 3 * blocks, [0], [3 * (blocks - 1)], edges)
-
-
 @pytest.mark.parametrize("blocks", [3, 4])
 def test_block_chain_degree_matches_the_oracle(blocks):
-    a = _block_chain(blocks)
+    a = block_chain(blocks)
     degree = blocks - 1
     assert (classify(a).kind, dpa(a)) == (P, degree)
     # a^(3m + blocks − 1) has C(m + degree, degree) paths: a polynomial of
@@ -490,7 +486,7 @@ def test_block_chain_degree_matches_the_oracle(blocks):
 
 
 def test_polynomial_chain_of_300_states_classifies_in_time():
-    a = _block_chain(100)
+    a = block_chain(100)
     assert (a.num_states, a.num_transitions) == (300, 399)
     start = time.perf_counter()
     r = classify(a, want_witness=True)
@@ -501,7 +497,7 @@ def test_polynomial_chain_of_300_states_classifies_in_time():
 
 
 @pytest.mark.parametrize(
-    "a, degree", [(_ladder(500), 499), (_block_chain(250), 249)], ids=["ladder500", "chain250"]
+    "a, degree", [(ladder(500), 499), (block_chain(250), 249)], ids=["ladder500", "chain250"]
 )
 def test_polynomial_input_at_the_documented_scale_classifies_in_time(a, degree):
     assert a.num_transitions == 999
@@ -517,7 +513,7 @@ def test_polynomial_input_at_the_documented_scale_classifies_in_time(a, degree):
 def test_ida_criterion_stops_at_the_first_region_with_a_site(region_walks):
     """On a chain of 250 blocks the full site search walks 250·249/2
     regions; ida_criterion needs the first one that has a site."""
-    a = _block_chain(250)
+    a = block_chain(250)
     start = time.perf_counter()
     assert ida_criterion(a)
     elapsed = time.perf_counter() - start
@@ -528,8 +524,8 @@ def test_ida_criterion_stops_at_the_first_region_with_a_site(region_walks):
 def test_degree_walks_one_region_per_settled_scc(region_walks):
     """The pruned chain DP settles each SCC of a ladder below the top with
     the first region it tries, (the SCC just above, this SCC): 7 regions
-    on _ladder(8), where the full site search walks all 28 pairs."""
-    a = _ladder(8)
+    on ladder(8), where the full site search walks all 28 pairs."""
+    a = ladder(8)
     assert classify(a, want_witness=True).degree == 7
     assert len(region_walks) == 7
     region_walks.clear()
@@ -537,8 +533,67 @@ def test_degree_walks_one_region_per_settled_scc(region_walks):
     assert len(region_walks) == 28
 
 
+def _bridged_cycles(k):
+    """k cycles u -a-> v -b-> u, each u bridged to the next by a: FINITE.
+
+    After an a from u the next symbol tells the cycle from the bridge, so
+    every string has at most one path; yet each cycle's diagonal closure
+    reaches the next cycle, so k − 1 regions have starts."""
+    edges = []
+    for i in range(k):
+        u, v = 2 * i, 2 * i + 1
+        edges += [(u, "a", v), (v, "b", u)]
+        if i + 1 < k:
+            edges.append((u, "a", u + 2))
+    return validate(("a", "b"), 2 * k, [0], [2 * (k - 1)], edges)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_bridged_cycles_are_finite_by_the_oracle(k):
+    a = _bridged_cycles(k)
+    assert classify(a).kind == F
+    assert max(running_max(growth_table(a, 14))) == 1
+
+
+def test_finite_input_at_the_documented_scale_walks_its_regions_in_time():
+    """333 cyclic SCCs, 998 transitions: the region walks run and find no
+    site, for every entry point that searches them."""
+    a = _bridged_cycles(333)
+    assert a.num_transitions == 998
+    assert sum(map(len, _closures(_epsilon_core(a)).values())) >= 250
+    for probe, want in [
+        (lambda: classify(a, want_witness=True).kind, F),
+        (lambda: ida_criterion(a), False),
+        (lambda: ida_pairs(a), frozenset()),
+    ]:
+        start = time.perf_counter()
+        assert probe() == want
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"took {elapsed:.2f} s"
+
+
+def test_ida_witness_across_a_999_transition_chain_runs_in_time():
+    a = block_chain(250)
+    start = time.perf_counter()
+    w = ida_witness(a, 0, 747)
+    elapsed = time.perf_counter() - start
+    assert w is not None and verify_ida_witness(a, w)
+    assert elapsed < 2.0, f"ida_witness took {elapsed:.2f} s"
+
+
+def test_ida_pairs_on_a_100_rung_ladder_runs_in_time():
+    """Every ordered pair of the ladder's loops is a site: the full search
+    walks all k(k − 1)/2 regions."""
+    a = ladder(100)
+    start = time.perf_counter()
+    sites = ida_pairs(a)
+    elapsed = time.perf_counter() - start
+    assert sites == {(p, q) for q in range(100) for p in range(q)}
+    assert elapsed < 5.0, f"ida_pairs took {elapsed:.2f} s"
+
+
 def test_ida_witness_on_a_240_state_chain_runs_in_time():
-    a = _block_chain(80)
+    a = block_chain(80)
     start = time.perf_counter()
     w = ida_witness(a, 0, 9)
     elapsed = time.perf_counter() - start
@@ -567,7 +622,7 @@ def test_site_search_makes_one_coreach_pass_per_cyclic_scc(reach_passes):
     site search makes one pass per cyclic SCC that some region has as C₃,
     which on a ladder is every SCC but the top one, and a single site
     walk makes one."""
-    a = _ladder(8)
+    a = ladder(8)
     r = classify(a, want_witness=True)
     assert r.degree == 7
     assert len(reach_passes) == 7
@@ -584,8 +639,9 @@ def _sites_match_the_reference(a, exponential):
     """ida_criterion, which stops on exponential growth, agrees with the
     full marked cube's sites.  Without exponential growth the region
     search, started from the per-SCC diagonal closures, finds those sites,
-    each of them in the closure of SCC(p)'s diagonal; with it the search
-    returns None.  Returns how many of the compared sites join two SCCs."""
+    each site (p, q) with its start (p, p, q) among the starts of region
+    (SCC(p), SCC(q)); with it the search returns None.  Returns how many of
+    the compared sites join two SCCs."""
     core = _epsilon_core(trim(a))
     want = reference_sites._ida_sites(cube(core.fa))
     assert ida_criterion(trim(a)) == (core.multiplicity or bool(want))
@@ -593,9 +649,11 @@ def _sites_match_the_reference(a, exponential):
         assert _ida_sites(core) is None
         return 0
     assert _ida_sites(core) == want
-    n, members, comp = core.n, core.members, core.comp
-    closed = {c: set(_pair_closure(core, members[c])) for c in {comp[p] for p, _ in want}}
-    assert all(p * n + q in closed[comp[p]] for p, q in want)
+    n, comp = core.n, core.comp
+    starts = {
+        (c1, c3): set(bucket) for c3, sources in _closures(core).items() for c1, bucket in sources
+    }
+    assert all((p * n + p) * n + q in starts.get((comp[p], comp[q]), ()) for p, q in want)
     return sum(comp[p] != comp[q] for p, q in want)
 
 
@@ -689,7 +747,7 @@ def test_ida_witnesses_match_the_full_cube_search():
 
 
 @pytest.mark.parametrize(
-    "a", [_ladder(16), _block_chain(3), _block_chain(4)], ids=["ladder16", "chain3", "chain4"]
+    "a", [ladder(16), block_chain(3), block_chain(4)], ids=["ladder16", "chain3", "chain4"]
 )
 def test_ida_witnesses_on_ladders_and_chains_are_the_full_cube_ones(a):
     _witnesses_match_the_reference(a, True)
@@ -726,7 +784,7 @@ def _chains_match_the_reference(a):
 def test_dpa_witnesses_are_the_reference_chains():
     fixtures = [EX_FIN2, EX_POLY1, EX_POLY2, EX_EPS]
     corpus = [a for a in build_corpus100() if classify(a).kind is not E]
-    chains = [_ladder(16), _block_chain(3), _block_chain(4)]
+    chains = [ladder(16), block_chain(3), block_chain(4)]
     degrees = [_chains_match_the_reference(a) for a in fixtures + corpus + chains]
     assert len(corpus) == 78 and degrees[-3:] == [15, 2, 3]
 
@@ -734,21 +792,11 @@ def test_dpa_witnesses_are_the_reference_chains():
 def test_dpa_witnesses_under_ties_are_the_reference_chains():
     """Where sources tie for an SCC, the reference DP keeps the first one:
     sources in descending component id, plain edges before sites."""
-    # two top SCCs of equal best 0, each with a site into {2}
-    a = validate(
-        ("a",), 3, [0, 1], [2],
-        [(0, "a", 0), (1, "a", 1), (2, "a", 2), (0, "a", 2), (1, "a", 2)],
-    )
+    a = TIE_OF_SITES
     high = max(0, 1, key=_epsilon_core(a).comp.__getitem__)
     assert _chains_match_the_reference(a) == 1
     assert classify(a, want_witness=True).witness.pairs == ((high, 2),)
-    # {1} reaches {2} by a plain c-edge with best 1, from its own site
-    # (0, 1) on c; the site (3, 2) on b gives 0 + 1 as well, from a higher id
-    b = validate(
-        ("a", "b", "c"), 4, [0, 3], [2],
-        [(0, "c", 0), (1, "c", 1), (2, "a", 2), (2, "b", 2), (3, "b", 3),
-         (0, "c", 1), (1, "c", 2), (3, "b", 2)],
-    )
+    b = TIE_WITH_A_PLAIN_EDGE
     comp = _epsilon_core(b).comp
     assert comp[3] > comp[1]
     assert _chains_match_the_reference(b) == 1
@@ -792,9 +840,11 @@ def _site_ties(core, sites):
 
 
 def _eda_verdicts_match_the_square_scc_search(a):
-    """eda_criterion and classify (the diagonal closures on the ε-free core)
-    answer as eda_witness (the SCC search over the whole square) does."""
-    exponential = eda_witness(a) is not None
+    """eda_criterion, eda_witness and classify (the diagonal closures on the
+    ε-free core) answer as the SCC search over the whole square does."""
+    found = _find_eda_scc(a)
+    exponential = found is not None
+    assert eda_witness(a) == found
     assert eda_criterion(a) == exponential
     assert (classify(a).kind is E) == exponential
 
