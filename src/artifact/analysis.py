@@ -15,7 +15,8 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     this decision for every entry point; the IDA and DPA tests below are
     defined only without exponential growth, and ida_pairs and dpa refuse
     it.  Only an EDA witness reads the square: the SCCs of its accessible
-    part, as the product worklist leaves it, untrimmed (see _find_eda_scc).
+    part for the input as given, as the product worklist leaves it,
+    untrimmed (see _find_eda_scc).
   * Unbounded (infinite) ambiguity iff two states p ≠ q have same-labeled
     cycles joined by a same-labeled path that cannot be slid into one
     another.  Paths that differ only in how an ε-run is split around a
@@ -57,6 +58,7 @@ each in the order of the core's transitions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -352,16 +354,17 @@ def _find_eda_scc(t: FiniteAutomaton) -> EDAWitness | None:
     off-diagonal state, or None when there is no such SCC.
 
     The SCC is the one with the lowest component id, and in it the lowest
-    diagonal and off-diagonal state, with the square trimmed and its
-    transitions sorted as product.square builds it.  Two breadth-first
-    searches inside that SCC, from the diagonal state to the off-diagonal
-    one and back, each state's successors by label, then target, close a
-    cycle through (p, p) whose projections are two distinct same-labeled
-    cycles at p.
+    diagonal and off-diagonal state, in trim(t)'s square trimmed and with
+    its transitions sorted as product.square builds it; t need not be trim,
+    and the witness is in t's ids.  Two breadth-first searches inside that
+    SCC, from the diagonal state to the off-diagonal one and back, each
+    state's successors by label, then target, close a cycle through (p, p)
+    whose projections are two distinct same-labeled cycles at p.
 
-    The search runs on the accessible square as product._explore leaves
-    it, with one Tarjan pass and no trim; a square state is dead when it
-    cannot reach a final one.  The dead states leave the witness unchanged:
+    The search runs on the accessible square of t as product._explore
+    leaves it, with one Tarjan pass and no trim; a square state is dead
+    when it cannot reach a final one, and unclean when one of its
+    components is useless in t.  Neither kind moves the witness:
       * a dead state reaches no live one, so the depth-first walk
         completes every dead SCC before it returns to a live state, and no
         dead state is on Tarjan's stack when a live low-link is updated;
@@ -375,7 +378,15 @@ def _find_eda_scc(t: FiniteAutomaton) -> EDAWitness | None:
         along one path from p to a final state, and in a dead (p, p, F1)
         or (p, p, F2) p has no symbol transition (both sides could take it
         to a live (p′, p′, F0)), so one side stays at p while the other
-        takes ε-steps, which never return, and it lies on no cycle.
+        takes ε-steps, which never return, and it lies on no cycle;
+      * an unclean state has only unclean successors, so it is dead and
+        discovers no clean state; the points above then keep the clean
+        states' order, edge runs and live SCC ids as in trim(t)'s worklist,
+        and trim renumbers monotonically and keeps every useful transition.
+        The clean SCCs are those of trim(t)'s square, but an unclean one can
+        hold a diagonal and an off-diagonal state (same-labeled cycles
+        behind a dead end), so (p, p, f) counts only when p is co-reachable
+        in t, which makes all of its SCC clean.
     """
     labels, w1, width, codes, _, keys, derivations, ends = _explore(t, t)
     n = len(codes)
@@ -391,11 +402,15 @@ def _find_eda_scc(t: FiniteAutomaton) -> EDAWitness | None:
     dsts = tuple([k % width for k in ranked])
     succ = [dsts[start:end] for start, end in zip(first, ends)]
     comp, count = strongly_connected_components(n, succ)
+    pred: list[list[int]] = [[] for _ in t.states]
+    for tr in t.transitions:
+        pred[tr.dst].append(tr.src)
+    live = reachable(t.final, pred)
     diag = [-1] * count
     off = [-1] * count
     for s, code in enumerate(codes):
         if code // w1 == code % w1 // 3:
-            if diag[comp[s]] < 0:
+            if diag[comp[s]] < 0 and code // w1 in live:
                 diag[comp[s]] = s
         elif off[comp[s]] < 0:
             off[comp[s]] = s
@@ -741,15 +756,15 @@ def ida_witness(a: FiniteAutomaton, p: int, q: int) -> IDAWitness | None:
         return None
     ids, parents = tree
     n = core.n
-    # the core is ε-free, so (src, label, dst) names one transition
-    index = dict(zip(core.fa.transitions, range(core.fa.num_transitions)))
-    steps: list[tuple[int, int, int]] = []
-    code, x, y, z = (cp * n + cq) * n + cq, cp, cq, cq
+    # sorted, ε-free transitions: (src, label, dst) names one, found by bisection
+    trs = core.fa.transitions
+    steps: list[tuple[int, ...]] = []
+    code, here = (cp * n + cq) * n + cq, (cp, cq, cq)
     while (link := parents[ids[code]]) is not None:
         code, label = link
-        x0, y0, z0 = code // (n * n), code // n % n, code % n
-        steps.append((index[x0, label, x], index[y0, label, y], index[z0, label, z]))
-        x, y, z = x0, y0, z0
+        prev = (code // (n * n), code // n % n, code % n)
+        steps.append(tuple(bisect_left(trs, (s, label, d)) for s, d in zip(prev, here)))
+        here = prev
     path_pp, path_pq, path_qq = (
         _lift_path(core.lifts, reversed(leg)) for leg in zip(*steps)
     )
@@ -867,61 +882,42 @@ def classify(a: FiniteAutomaton, want_witness: bool = False) -> AmbiguityReport:
     The ε-free core build trims a and rejects its ε-cycles, also those
     among useless states (see _epsilon_core).  Witnesses refer to the
     states and transition indices of the automaton as passed in, not of
-    its trimmed core.
+    its trimmed core; an EDA witness is searched on a as given.
     """
     degree, witness = _growth(_epsilon_core(a))
     if degree is None:
         if not want_witness:
             return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, None)
-        # the square SCC search needs trim input: a dead SCC could be picked
-        t, maps = _trim(a)
-        if (eda := _find_eda_scc(t)) is None:
+        if (eda := _find_eda_scc(a)) is None:
             raise InternalInvariantViolation("exponential growth without an EDA SCC")
-        if maps is not None:
-            order, tmap = maps
-            eda = EDAWitness(
-                state=order[eda.state],
-                label=eda.label,
-                cycle_a=tuple(tmap[i] for i in eda.cycle_a),
-                cycle_b=tuple(tmap[i] for i in eda.cycle_b),
-            )
         return AmbiguityReport(AmbiguityClass.EXPONENTIAL, None, eda)
     if degree == 0:
         return AmbiguityReport(AmbiguityClass.FINITE, 0, None)
     return AmbiguityReport(AmbiguityClass.POLYNOMIAL, degree, witness if want_witness else None)
 
 
+def _legs_ok(a: FiniteAutomaton, label: tuple[str, ...], legs: Iterable[tuple]) -> bool:
+    """True iff label is nonempty and each (path, src, dst) leg is a
+    nonempty valid path src → dst of a that reads label."""
+    return bool(label) and all(
+        path and is_valid_path(a, path) and path_label(a, path) == label
+        and (path_source(a, path), path_target(a, path)) == (src, dst)
+        for path, src, dst in legs
+    )
+
+
 def verify_eda_witness(a: FiniteAutomaton, w: EDAWitness) -> bool:
     """Check the two cycles directly against the automaton."""
-    if not w.label or w.cycle_a == w.cycle_b:
-        return False
-    for cyc in (w.cycle_a, w.cycle_b):
-        if not cyc or not is_valid_path(a, cyc):
-            return False
-        if path_source(a, cyc) != w.state or path_target(a, cyc) != w.state:
-            return False
-        if path_label(a, cyc) != w.label:
-            return False
-    return True
+    return w.cycle_a != w.cycle_b and _legs_ok(
+        a, w.label, ((w.cycle_a, w.state, w.state), (w.cycle_b, w.state, w.state))
+    )
 
 
 def verify_ida_witness(a: FiniteAutomaton, w: IDAWitness) -> bool:
     """Check the cycle/path/cycle triple directly against the automaton."""
-    if w.p == w.q or not w.label:
-        return False
-    legs = (
-        (w.path_pp, w.p, w.p),
-        (w.path_pq, w.p, w.q),
-        (w.path_qq, w.q, w.q),
+    return w.p != w.q and _legs_ok(
+        a, w.label, ((w.path_pp, w.p, w.p), (w.path_pq, w.p, w.q), (w.path_qq, w.q, w.q))
     )
-    for path, src, dst in legs:
-        if not path or not is_valid_path(a, path):
-            return False
-        if path_source(a, path) != src or path_target(a, path) != dst:
-            return False
-        if path_label(a, path) != w.label:
-            return False
-    return True
 
 
 def verify_dpa_witness(

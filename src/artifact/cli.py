@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .analysis import classify, dpa
 from .core import EPSILON, FiniteAutomaton, is_trim, trim
@@ -190,6 +191,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artifact",

@@ -183,6 +183,14 @@ TIE_WITH_A_PLAIN_EDGE = validate(
     [(0, "c", 0), (1, "c", 1), (2, "a", 2), (2, "b", 2), (3, "b", 3),
      (0, "c", 1), (1, "c", 2), (3, "b", 2)],
 )
+#: EDA at the useful state 0 (a-loop and a-cycle through 1), and two
+#: same-labeled b-cycles at 2 behind a dead end {2, 3}: the square SCC of
+#: (2, 2) holds an off-diagonal state too, and its component id is lower
+DEAD_EDA = validate(
+    ("a", "b"), 4, [0], [1],
+    [(0, "a", 0), (0, "a", 1), (1, "a", 0), (1, "a", 1),
+     (0, "b", 2), (2, "b", 2), (2, "b", 3), (3, "b", 2)],
+)
 
 
 def ladder(k):

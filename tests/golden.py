@@ -11,11 +11,12 @@ hex digest:
     and each low-level probe's result or its exception type and text.
 
 Every input comes from a seeded builder or a hand-built automaton of the
-test suite (conftest.py), among them the chain DP's two ties, plus three
-automata for the error paths: a useful ε-cycle, a dead end, and a dead end
-behind a useless ε-cycle.  test_golden.py recomputes every digest and names
-the keys that moved.  Regenerating the file is a change of test data, to be
-made only by a change that means to move outputs:
+test suite (conftest.py), among them the chain DP's two ties and an EDA
+beside a dead one (DEAD_EDA), plus three automata for the error paths: a
+useful ε-cycle, a dead end, and a dead end behind a useless ε-cycle.
+test_golden.py recomputes every digest and names the keys that moved.
+Regenerating the file is a change of test data, to be made only by a
+change that means to move outputs:
 
     PYTHONPATH=src python tests/golden.py
 
@@ -51,6 +52,7 @@ from artifact.fixtures import (
     EX_UNIF,
 )
 from conftest import (
+    DEAD_EDA,
     TIE_OF_SITES,
     TIE_WITH_A_PLAIN_EDGE,
     block_chain,
@@ -93,6 +95,7 @@ def inputs():
     plain.update((f"ladder{k}", ladder(k)) for k in (16, 100))
     plain.update((f"chain{k}", block_chain(k)) for k in (3, 4, 20, 100))
     plain.update(tie_of_sites=TIE_OF_SITES, tie_with_a_plain_edge=TIE_WITH_A_PLAIN_EDGE)
+    plain.update(dead_eda=DEAD_EDA)
     plain.update(_error_inputs())
     weighted = {
         "EX_UNIF": EX_UNIF, "EX_GEO": EX_GEO, "EX_FIN2U": EX_FIN2U,

@@ -2,6 +2,8 @@
 
 import itertools
 import time
+from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, target
@@ -45,6 +47,7 @@ import reference_dpa
 import reference_eda
 import reference_sites
 from conftest import (
+    DEAD_EDA,
     TIE_OF_SITES,
     TIE_WITH_A_PLAIN_EDGE,
     block_chain,
@@ -333,20 +336,25 @@ def product_builds(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "probe",
-    [classify, dpa, eda_criterion, eda_witness, ida_criterion, ida_pairs],
-    ids=lambda probe: probe.__name__,
+    "probe, a",
+    [
+        *(
+            pytest.param(probe, EX_POLY2, id=probe.__name__)
+            for probe in (classify, dpa, eda_criterion, eda_witness, ida_criterion, ida_pairs)
+        ),
+        pytest.param(partial(classify, want_witness=True), EX_EXP, id="classify_eda_witness"),
+    ],
 )
-def test_entry_points_validate_their_input_once(monkeypatch, probe):
+def test_entry_points_validate_their_input_once(monkeypatch, probe, a):
     """The core build is the input check: one useful_states pass per call,
     the core's trim, and a second one only when the core has fewer states
-    than the input."""
+    than the input.  An EDA witness is searched on the input as given."""
     from artifact import core
 
     passes = []
     useful = core.useful_states
     monkeypatch.setattr(core, "useful_states", lambda a: passes.append(a) or useful(a))
-    probe(EX_POLY2)
+    probe(a)
     assert len(passes) == 1
 
 
@@ -908,6 +916,55 @@ def test_eda_witnesses_are_the_square_scc_search_ones():
             assert classify(_with_dead_state(a), want_witness=True).witness == _shifted(want)
             witnessed += 1
     assert witnessed == 23
+
+
+def test_an_eda_witness_skips_a_dead_eda_scc():
+    """DEAD_EDA's square has an SCC with a diagonal and an off-diagonal
+    state at the useless state 2, and it gets a lower component id than
+    the one at the useful state 0; the witness must name state 0."""
+    w = classify(DEAD_EDA, want_witness=True).witness
+    assert w == EDAWitness(state=0, label=("a", "a"), cycle_a=(0, 0), cycle_b=(1, 3))
+    assert verify_witness(DEAD_EDA, w)
+
+
+def _eda():
+    return eda_witness(EX_EXP)
+
+
+def _ida():
+    return ida_witness(EX_EPS, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "a, find, tamper",
+    [
+        pytest.param(EX_EXP, _eda, lambda w: replace(w, cycle_b=w.cycle_a), id="eda-equal-cycles"),
+        pytest.param(EX_EXP, _eda, lambda w: replace(w, label=()), id="eda-empty-label"),
+        pytest.param(EX_EXP, _eda, lambda w: replace(w, label=w.label[:-1]), id="eda-short-label"),
+        # (1,a,0)(0,a,1): a valid aa-cycle, at 1
+        pytest.param(EX_EXP, _eda, lambda w: replace(w, cycle_b=(2, 1)), id="eda-other-endpoints"),
+        pytest.param(EX_EXP, _eda, lambda w: replace(w, cycle_a=()), id="eda-empty-cycle"),
+        pytest.param(EX_EXP, _eda, lambda w: replace(w, cycle_a=(0, 4)), id="eda-index-out-of-range"),
+        # (0,a,1)(0,a,0): 0 → 0 on aa, but 1 ≠ 0 between the steps
+        pytest.param(EX_EXP, _eda, lambda w: replace(w, cycle_b=(1, 0)), id="eda-broken-path"),
+        # three valid a-cycles at 0
+        pytest.param(
+            EX_EPS, _ida, lambda w: replace(w, q=w.p, path_pq=w.path_pp, path_qq=w.path_pp),
+            id="ida-p-equals-q",
+        ),
+        pytest.param(EX_EPS, _ida, lambda w: replace(w, label=()), id="ida-empty-label"),
+        pytest.param(EX_EPS, _ida, lambda w: replace(w, label=w.label + w.label), id="ida-long-label"),
+        pytest.param(EX_EPS, _ida, lambda w: replace(w, p=w.q, q=w.p), id="ida-swapped-endpoints"),
+        pytest.param(EX_EPS, _ida, lambda w: replace(w, path_qq=()), id="ida-empty-leg"),
+        pytest.param(EX_EPS, _ida, lambda w: replace(w, path_pq=(0, 4)), id="ida-index-out-of-range"),
+        # (0,ε,2)(1,a,1): 0 → 1 on a, but 2 ≠ 1 between the steps
+        pytest.param(EX_EPS, _ida, lambda w: replace(w, path_pq=(0, 2)), id="ida-broken-path"),
+    ],
+)
+def test_path_verifiers_reject_tampered_witnesses(a, find, tamper):
+    w = find()
+    assert verify_witness(a, w)
+    assert not verify_witness(a, tamper(w))
 
 
 def test_eda_witness_of_the_scale_instance_is_the_square_scc_search_one():

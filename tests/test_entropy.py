@@ -1,6 +1,8 @@
 """Entropy estimates, error brackets, and the brute-force cross-check."""
 
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from artifact.fixtures import (
 )
 from artifact.semiring import map_entropy, map_expectation, shortest_distance
 from artifact.weighted import validate_weighted
+
+from conftest import block_chain, ladder
 
 LN2 = math.log(2)
 
@@ -164,6 +168,34 @@ def test_400_state_ring_matches_its_closed_form():
     assert abs(r.s - s) <= 1e-12
     assert abs(r.l - length) <= 1e-12
     assert r.bound_low - 1e-12 <= s <= r.bound_high + 1e-12
+
+
+def _evenly_weighted(a, stop=0.4):
+    """a with each state's mass split evenly over its transitions, where a
+    final state first stops with `stop`."""
+    out = Counter(t.src for t in a.transitions)
+    quads = [
+        (src, label, dst, (1.0 - stop if src in a.final else 1.0) / out[src])
+        for src, label, dst in a.transitions
+    ]
+    return validate_weighted(
+        a.alphabet, a.num_states, dict.fromkeys(a.initial, 1.0), dict.fromkeys(a.final, stop), quads
+    )
+
+
+@pytest.mark.parametrize(
+    "a, degree", [(ladder(500), 499), (block_chain(250), 249)], ids=["ladder500", "chain250"]
+)
+def test_entropy_report_at_the_documented_scale_runs_in_time(a, degree):
+    """999 transitions; the bracket is not gated, since the POLYNOMIAL rule
+    S − d·ln L gives a low far below 0 here."""
+    assert a.num_transitions == 999
+    wa = _evenly_weighted(a)
+    start = time.perf_counter()
+    r = entropy_report(wa)
+    elapsed = time.perf_counter() - start
+    assert (r.ambiguity, r.dpa) == (AmbiguityClass.POLYNOMIAL, degree)
+    assert elapsed < 10.0, f"entropy_report took {elapsed:.1f} s"
 
 
 def _ring(n):
