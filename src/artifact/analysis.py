@@ -15,8 +15,8 @@ polynomially (POLYNOMIAL of some degree d ≥ 1), or exponentially
     this decision for every entry point; the IDA and DPA tests below are
     defined only without exponential growth, and ida_pairs and dpa refuse
     it.  Only an EDA witness reads the square: the SCCs of its accessible
-    part for the input as given, as the product worklist leaves it,
-    untrimmed (see _find_eda_scc).
+    part over the co-reachable states of the input as given, as the
+    product worklist leaves it, untrimmed (see _find_eda_scc).
   * Unbounded (infinite) ambiguity iff two states p ≠ q have same-labeled
     cycles joined by a same-labeled path that cannot be slid into one
     another.  Paths that differ only in how an ε-run is split around a
@@ -354,17 +354,22 @@ def _find_eda_scc(t: FiniteAutomaton) -> EDAWitness | None:
     off-diagonal state, or None when there is no such SCC.
 
     The SCC is the one with the lowest component id, and in it the lowest
-    diagonal and off-diagonal state, in trim(t)'s square trimmed and with
-    its transitions sorted as product.square builds it; t need not be trim,
-    and the witness is in t's ids.  Two breadth-first searches inside that
+    diagonal and off-diagonal state, with trim(t)'s square trimmed and its
+    transitions sorted as product.square builds it; t need not be trim, and
+    the witness is in t's ids.  Two breadth-first searches inside that
     SCC, from the diagonal state to the off-diagonal one and back, each
     state's successors by label, then target, close a cycle through (p, p)
     whose projections are two distinct same-labeled cycles at p.
 
-    The search runs on the accessible square of t as product._explore
-    leaves it, with one Tarjan pass and no trim; a square state is dead
-    when it cannot reach a final one, and unclean when one of its
-    components is useless in t.  Neither kind moves the witness:
+    The search runs on the accessible square of t's co-reachable states
+    (product._explore's keep, from one co-reach pass over t): trim(t)'s
+    worklist in t's ids, since trim renumbers the useful states
+    monotonically and keeps their transitions in order.  Without keep, up
+    to 3·|useless|² pairs of useless states would be explored, and
+    same-labeled cycles behind a dead end put a diagonal and an
+    off-diagonal one in one SCC.  One Tarjan pass reads the square untrimmed;
+    a square state is dead when it cannot reach a final one.  The dead
+    states leave the witness unchanged:
       * a dead state reaches no live one, so the depth-first walk
         completes every dead SCC before it returns to a live state, and no
         dead state is on Tarjan's stack when a live low-link is updated;
@@ -378,17 +383,12 @@ def _find_eda_scc(t: FiniteAutomaton) -> EDAWitness | None:
         along one path from p to a final state, and in a dead (p, p, F1)
         or (p, p, F2) p has no symbol transition (both sides could take it
         to a live (p′, p′, F0)), so one side stays at p while the other
-        takes ε-steps, which never return, and it lies on no cycle;
-      * an unclean state has only unclean successors, so it is dead and
-        discovers no clean state; the points above then keep the clean
-        states' order, edge runs and live SCC ids as in trim(t)'s worklist,
-        and trim renumbers monotonically and keeps every useful transition.
-        The clean SCCs are those of trim(t)'s square, but an unclean one can
-        hold a diagonal and an off-diagonal state (same-labeled cycles
-        behind a dead end), so (p, p, f) counts only when p is co-reachable
-        in t, which makes all of its SCC clean.
+        takes ε-steps, which never return, and it lies on no cycle.
     """
-    labels, w1, width, codes, _, keys, derivations, ends = _explore(t, t)
+    pred: list[list[int]] = [[] for _ in t.states]
+    for tr in t.transitions:
+        pred[tr.dst].append(tr.src)
+    labels, w1, width, codes, _, keys, derivations, ends = _explore(t, t, reachable(t.final, pred))
     n = len(codes)
     if n > 3 * t.num_states * t.num_states:
         raise InternalInvariantViolation("square grew past 3·|Q|² states")
@@ -402,15 +402,11 @@ def _find_eda_scc(t: FiniteAutomaton) -> EDAWitness | None:
     dsts = tuple([k % width for k in ranked])
     succ = [dsts[start:end] for start, end in zip(first, ends)]
     comp, count = strongly_connected_components(n, succ)
-    pred: list[list[int]] = [[] for _ in t.states]
-    for tr in t.transitions:
-        pred[tr.dst].append(tr.src)
-    live = reachable(t.final, pred)
     diag = [-1] * count
     off = [-1] * count
     for s, code in enumerate(codes):
         if code // w1 == code % w1 // 3:
-            if diag[comp[s]] < 0 and code // w1 in live:
+            if diag[comp[s]] < 0:
                 diag[comp[s]] = s
         elif off[comp[s]] < 0:
             off[comp[s]] = s

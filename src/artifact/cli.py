@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
 
 from .analysis import classify, dpa
 from .core import EPSILON, FiniteAutomaton, is_trim, trim
@@ -191,7 +190,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artifact",

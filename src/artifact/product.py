@@ -164,11 +164,13 @@ class _Worklist(NamedTuple):
     ends: list[int]
 
 
-def _explore(a1: FiniteAutomaton, a2: FiniteAutomaton) -> _Worklist:
+def _explore(a1: FiniteAutomaton, a2: FiniteAutomaton, keep: set[int] | None = None) -> _Worklist:
     """The breadth-first worklist behind every product: its accessible part.
 
     Composite states are numbered in discovery order, the initial pairs
-    first and in sorted order; nothing is trimmed or sorted yet.
+    first and in sorted order; nothing is trimmed or sorted yet.  keep,
+    if given, holds the only states of a1 and a2 that a composite state
+    may have: the initial pairs and arcs into other states are left out.
     """
     # labels ranked as the canonical transition order sorts them: ε ("")
     # first, then the symbols in sorted order
@@ -177,13 +179,14 @@ def _explore(a1: FiniteAutomaton, a2: FiniteAutomaton) -> _Worklist:
     n_labels = len(labels)
     w1 = 3 * a2.num_states  # code stride of q1; q2's stride is 3
     width = w1 * a1.num_states  # every code, hence every state id, is below it
-    symbol1, eps1 = _coded_arcs(a1, rank, w1)
-    symbol2, eps2 = _coded_arcs(a2, rank, 3)
+    symbol1, eps1 = _coded_arcs(a1, rank, w1, keep)
+    symbol2, eps2 = _coded_arcs(a2, rank, 3, keep)
+    initial1, initial2 = (sorted(a.initial if keep is None else a.initial & keep) for a in (a1, a2))
 
     ids: dict[int, int] = {}
     codes: list[int] = []
-    for i1 in sorted(a1.initial):
-        for i2 in sorted(a2.initial):
+    for i1 in initial1:
+        for i2 in initial2:
             code = i1 * w1 + i2 * 3 + _F0
             ids[code] = len(codes)
             codes.append(code)
@@ -352,16 +355,18 @@ def cube(a: FiniteAutomaton) -> ProductAutomaton:
     )
 
 
-def _coded_arcs(a: FiniteAutomaton, rank: dict[str, int], stride: int):
+def _coded_arcs(a: FiniteAutomaton, rank: dict[str, int], stride: int, keep: set[int] | None):
     """Per-state arcs of a as (dst·stride, transition index) pairs.
 
     Returns the symbol arcs, as dicts from label rank to arcs in order of
     first appearance, and the ε-arcs.  Labels without a rank cannot match
-    and are dropped.
+    and are dropped, and so are arcs into states outside keep, if given.
     """
     by_rank: list[dict[int, list[tuple[int, int]]]] = [{} for _ in a.states]
     eps: list[list[tuple[int, int]]] = [[] for _ in a.states]
     for i, (src, label, dst) in enumerate(a.transitions):
+        if keep is not None and dst not in keep:
+            continue
         if label == EPSILON:
             eps[src].append((dst * stride, i))
         elif label in rank:

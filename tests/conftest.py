@@ -185,7 +185,8 @@ TIE_WITH_A_PLAIN_EDGE = validate(
 )
 #: EDA at the useful state 0 (a-loop and a-cycle through 1), and two
 #: same-labeled b-cycles at 2 behind a dead end {2, 3}: the square SCC of
-#: (2, 2) holds an off-diagonal state too, and its component id is lower
+#: (2, 2) holds an off-diagonal state too, and its component id is lower.
+#: The golden file's dead_eda keys pin the witness at 0: cycles (0, 0) and (1, 3)
 DEAD_EDA = validate(
     ("a", "b"), 4, [0], [1],
     [(0, "a", 0), (0, "a", 1), (1, "a", 0), (1, "a", 1),

@@ -326,9 +326,9 @@ def product_builds(monkeypatch):
     builds = []
     build = product._explore
 
-    def counting(a1, a2):
+    def counting(a1, a2, *keep):
         builds.append("square" if a1 is a2 else "outer")
-        return build(a1, a2)
+        return build(a1, a2, *keep)
 
     for module in (analysis, product):
         monkeypatch.setattr(module, "_explore", counting)
@@ -918,13 +918,23 @@ def test_eda_witnesses_are_the_square_scc_search_ones():
     assert witnessed == 23
 
 
-def test_an_eda_witness_skips_a_dead_eda_scc():
-    """DEAD_EDA's square has an SCC with a diagonal and an off-diagonal
-    state at the useless state 2, and it gets a lower component id than
-    the one at the useful state 0; the witness must name state 0."""
-    w = classify(DEAD_EDA, want_witness=True).witness
-    assert w == EDAWitness(state=0, label=("a", "a"), cycle_a=(0, 0), cycle_b=(1, 3))
-    assert verify_witness(DEAD_EDA, w)
+def test_an_eda_witness_explores_no_pair_of_useless_states(monkeypatch):
+    """classify's EDA witness reads the square of the input as given, but
+    its worklist enters only pairs of useful states: DEAD_EDA's useless
+    {2, 3} hold same-labeled b-cycles, and its square would otherwise also
+    hold their pairs."""
+    from artifact import analysis, product
+
+    worklists = []
+
+    def recording(*args):
+        worklists.append(product._explore(*args))
+        return worklists[-1]
+
+    monkeypatch.setattr(analysis, "_explore", recording)
+    classify(DEAD_EDA, want_witness=True)
+    (w,) = worklists
+    assert {q for code in w.codes for q in (code // w.w1, code % w.w1 // 3)} == {0, 1}
 
 
 def _eda():
