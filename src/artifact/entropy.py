@@ -14,15 +14,14 @@ with d the degree of polynomial growth.  A longer string can carry more
 than k paths, and S − d·ln L drops the constant C of the path-count growth
 C·nᵈ; when L ≤ 1 the report gives [S, S] and sets vacuous_bound.  A
 truncated brute-force enumeration provides ground truth for small
-instances.
+instances.  numpy is imported only by a linear solve or by that
+enumeration, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .analysis import AmbiguityClass, classify
 from .core import EPSILON, has_epsilon_cycle, is_trim
@@ -114,6 +113,8 @@ def brute_entropy(wa: WeightedAutomaton, max_len: int) -> tuple[float, float]:
 
 def _brute_entropy(wa: WeightedAutomaton, max_len: int) -> tuple[float, float]:
     """brute_entropy() of a wa that has passed _check_analyzable."""
+    import numpy as np
+
     skel = wa.skeleton
     k = len(skel.alphabet)
     if k > 4:

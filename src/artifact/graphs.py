@@ -30,42 +30,40 @@ def strongly_connected_components(
     for root in range(num_nodes):
         if index[root] != UNSEEN:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = next_index
+        next_index += 1
+        scc_stack.append(root)
+        on_stack[root] = 1
+        # one frame per DFS level: the node and the iterator over its
+        # successors, which resumes where the descent into a child left it
+        work = [(root, iter(successors[root]))]
         while work:
-            node, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[node] = low[node] = next_index
-                next_index += 1
-                scc_stack.append(node)
-                on_stack[node] = 1
-            advanced = False
-            succ = successors[node]
-            while edge_pos < len(succ):
-                nxt = succ[edge_pos]
-                edge_pos += 1
+            node, succ = work[-1]
+            for nxt in succ:
                 if index[nxt] == UNSEEN:
-                    work[-1] = (node, edge_pos)
-                    work.append((nxt, 0))
-                    advanced = True
+                    index[nxt] = low[nxt] = next_index
+                    next_index += 1
+                    scc_stack.append(nxt)
+                    on_stack[nxt] = 1
+                    work.append((nxt, iter(successors[nxt])))
                     break
                 if on_stack[nxt]:
                     if index[nxt] < low[node]:
                         low[node] = index[nxt]
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                while True:
-                    member = scc_stack.pop()
-                    on_stack[member] = 0
-                    comp[member] = next_comp
-                    if member == node:
-                        break
-                next_comp += 1
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    while True:
+                        member = scc_stack.pop()
+                        on_stack[member] = 0
+                        comp[member] = next_comp
+                        if member == node:
+                            break
+                    next_comp += 1
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
     return comp, next_comp
 
 

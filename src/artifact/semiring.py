@@ -22,22 +22,23 @@ accumulator.  The accumulator columns are not stacked into one solve: a
 multi-column right-hand side may round a column differently from the same
 column solved alone, and solved alone every accumulator is bit-identical
 to shortest_distance over the pair mapping that carries only it.
+numpy is imported inside _solve_block, on the first SCC of several states,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import EPSILON, has_epsilon_cycle
 from .errors import EpsilonCycleInput, NonConvergent, NonPositiveWeight
 from .graphs import strongly_connected_components
 from .weighted import WeightedAutomaton
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class PairWeight(NamedTuple):
@@ -95,6 +96,8 @@ def _solve_block(
     and every solve leaves a residual of at most tol relative to its
     right-hand side.
     """
+    import numpy as np
+
     k = len(states)
     at = {q: i for i, q in enumerate(states)}
 

@@ -211,6 +211,12 @@ def block_chain(blocks):
     return validate(("a",), 3 * blocks, [0], [3 * (blocks - 1)], edges)
 
 
+def ring(n):
+    """An a/b cycle through n states that stops with 0.1 at each: one SCC, mass 1."""
+    edges = [(q, "ab"[q % 2], (q + 1) % n, 0.9) for q in range(n)]
+    return validate_weighted(("a", "b"), n, {0: 1.0}, {q: 0.1 for q in range(n)}, edges)
+
+
 @pytest.fixture(scope="session")
 def corpus100():
     return build_corpus100()

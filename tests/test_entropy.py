@@ -29,7 +29,7 @@ from artifact.fixtures import (
 from artifact.semiring import map_entropy, map_expectation, shortest_distance
 from artifact.weighted import validate_weighted
 
-from conftest import block_chain, ladder
+from conftest import block_chain, ladder, ring
 
 LN2 = math.log(2)
 
@@ -198,12 +198,6 @@ def test_entropy_report_at_the_documented_scale_runs_in_time(a, degree):
     assert elapsed < 10.0, f"entropy_report took {elapsed:.1f} s"
 
 
-def _ring(n):
-    """An a/b cycle through n states that stops with 0.1 at each: one SCC, mass 1."""
-    edges = [(q, "ab"[q % 2], (q + 1) % n, 0.9) for q in range(n)]
-    return validate_weighted(("a", "b"), n, {0: 1.0}, {q: 0.1 for q in range(n)}, edges)
-
-
 @pytest.fixture
 def sweep_work(monkeypatch):
     """SCC passes of the semiring module and numpy.linalg.solve calls, counted."""
@@ -227,13 +221,13 @@ def sweep_work(monkeypatch):
 
 def test_report_is_one_sweep_with_one_solve_per_column(sweep_work):
     # [x₁, y] in one solve, then one solve each for L and S
-    entropy_report(_ring(5))
+    entropy_report(ring(5))
     assert sweep_work == {"scc": 1, "solve": 3}
 
 
 def test_entropy_command_is_one_sweep_with_one_solve_per_column(sweep_work, tmp_path, capsys):
     path = tmp_path / "ring.fa"
-    path.write_text(serialize(_ring(5)))
+    path.write_text(serialize(ring(5)))
     assert main(["entropy", str(path)]) == 0
     assert capsys.readouterr().out.startswith("s ")
     assert sweep_work == {"scc": 1, "solve": 2}
@@ -241,7 +235,7 @@ def test_entropy_command_is_one_sweep_with_one_solve_per_column(sweep_work, tmp_
 
 @pytest.mark.parametrize(
     "wa",
-    [EX_UNIF, EX_GEO, EX_FIN2U, EX_POLY1P, EX_POLY2P, _ring(2), _ring(7)],
+    [EX_UNIF, EX_GEO, EX_FIN2U, EX_POLY1P, EX_POLY2P, ring(2), ring(7)],
     ids=["unif", "geo", "fin2u", "poly1p", "poly2p", "ring2", "ring7"],
 )
 def test_report_matches_the_pair_distances_exactly(wa):
